@@ -22,16 +22,6 @@ from .collapse import is_endo_collapsible
 from .errors import BudgetExceededError, InvalidComplexError
 
 
-def _ridge_map(complex):
-    out = {}
-    for F in complex.facets:
-        if len(F) < 2:
-            continue
-        for pos in range(len(F)):
-            out.setdefault(F[:pos] + F[pos + 1:], []).append(F)
-    return out
-
-
 @dataclass(frozen=True)
 class IsoCertificate:
     """Vertex bijection witnessing an isomorphism."""
@@ -79,8 +69,8 @@ def determine_gluing(a, b, seed):
             raise InvalidComplexError(
                 "%s complex is not a pseudomanifold" % name)
 
-    ridges_a = _ridge_map(a)
-    ridges_b = _ridge_map(b)
+    ridges_a = a._incidence()[1]
+    ridges_b = b._incidence()[1]
     mapping = dict(zip(fa, ordered))
     inverse = {w: v for v, w in mapping.items()}
     facet_image = {fa: gb}
@@ -90,12 +80,13 @@ def determine_gluing(a, b, seed):
         G = facet_image[F]
         for pos in range(len(F)):
             r = F[:pos] + F[pos + 1:]
-            across = [X for X in ridges_a[r] if X != F]
+            across = [X for X in (a.facets[i] for i in ridges_a[r]) if X != F]
             if not across:
                 continue
             F2 = across[0]
             r_img = face_tuple(mapping[x] for x in r)
-            others = [H for H in ridges_b.get(r_img, []) if H != G]
+            others = [H for H in (b.facets[i] for i in ridges_b.get(r_img, ()))
+                      if H != G]
             if not others:
                 continue  # one-sided in b: the overlap stops here
             H = others[0]
@@ -228,7 +219,8 @@ def _canon_run(facets, ridges, start, perm):
             r = F[:pos] + F[pos + 1:]
             keyed.append((tuple(sorted(label[x] for x in r)), r))
         for _, r in sorted(keyed):
-            for H in ridges[r]:
+            for h in ridges[r]:
+                H = facets[h]
                 if H in placed:
                     continue
                 apex = next(x for x in H if x not in r)
@@ -253,7 +245,7 @@ def canonical_label(complex, budget=10 ** 6):
     if not complex.facets:
         return complex, {}
     if _pm_fast_path_applies(complex, complex):
-        ridges = _ridge_map(complex)
+        ridges = complex._incidence()[1]
         best = None
         best_label = None
         for F in complex.facets:

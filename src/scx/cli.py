@@ -9,7 +9,6 @@ timing, so identical invocations produce identical bytes.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .census import census, derived_count_bound, iso, manifold_count_bound
 from .collapse import (DEFAULT_MAX_NODES, DEFAULT_SEEDS, collapses_to,
@@ -62,20 +61,6 @@ def _write_cert(res, out):
         _emit(certificate_to_text(res.certificate), out)
 
 
-def _parallel_tries(run_one, tries, jobs):
-    """Run seeds 0..tries-1 in a pool; report the first success in seed order."""
-    seeds = list(range(tries))
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(run_one, seeds))
-    for res in results:
-        if res.verdict == "yes":
-            return res
-    for res in results:
-        if res.verdict == "no":
-            return res
-    return results[-1]
-
-
 def cmd_validate(args):
     C = read_complex(args.file)
     print("dim %d" % C.dim)
@@ -120,18 +105,12 @@ def cmd_collapse(args):
     C = read_complex(args.file)
     target = _parse_faces(args.target) if args.target else None
 
-    def run(seed, tries):
-        if target is not None:
-            return collapses_to(C, target, strategy=args.strategy,
-                                seed=seed, seeds=tries, max_nodes=args.budget)
-        return is_collapsible(C, strategy=args.strategy, seed=seed,
-                              seeds=tries, max_nodes=args.budget)
-
-    if args.jobs > 1 and args.strategy == "greedy":
-        res = _parallel_tries(lambda s: run(args.seed + s, 1),
-                              args.tries, args.jobs)
+    if target is not None:
+        res = collapses_to(C, target, strategy=args.strategy, seed=args.seed,
+                           seeds=args.tries, max_nodes=args.budget)
     else:
-        res = run(args.seed, args.tries)
+        res = is_collapsible(C, strategy=args.strategy, seed=args.seed,
+                             seeds=args.tries, max_nodes=args.budget)
     _write_cert(res, args.cert)
     return _verdict_exit(res)
 
@@ -148,17 +127,9 @@ def cmd_endo(args):
         print("hypotheses %s" % rep.hypotheses_met)
         return _verdict_exit(rep.conclusion)
     facet = face_tuple(int(v) for v in args.facet.split()) if args.facet else None
-
-    def run(seed, tries):
-        return is_endo_collapsible(C, facet=facet, strategy=args.strategy,
-                                   seed=seed, seeds=tries,
-                                   max_nodes=args.budget)
-
-    if args.jobs > 1 and args.strategy == "greedy":
-        res = _parallel_tries(lambda s: run(args.seed + s, 1),
-                              args.tries, args.jobs)
-    else:
-        res = run(args.seed, args.tries)
+    res = is_endo_collapsible(C, facet=facet, strategy=args.strategy,
+                              seed=args.seed, seeds=args.tries,
+                              max_nodes=args.budget)
     _write_cert(res, args.cert)
     return _verdict_exit(res)
 
@@ -257,7 +228,8 @@ def _add_search_flags(p):
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES,
                    help="search node budget")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for greedy restarts")
+                   help="accepted for compatibility; restarts always run "
+                        "serially, so the result matches --jobs 1")
     p.add_argument("--cert", help="write the certificate here on success")
 
 

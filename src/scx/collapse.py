@@ -186,8 +186,6 @@ def _dfs(engine, goal_mask, max_nodes):
     nodes = 0
     pairs = []
     limit = sys.getrecursionlimit()
-    if len(engine.faces) * 2 + 100 > limit:
-        sys.setrecursionlimit(len(engine.faces) * 2 + 100)
 
     def rec():
         nonlocal nodes
@@ -213,7 +211,11 @@ def _dfs(engine, goal_mask, max_nodes):
         seen.add(key)
         return False
 
-    ok = rec()
+    sys.setrecursionlimit(max(limit, len(engine.faces) * 2 + 100))
+    try:
+        ok = rec()
+    finally:
+        sys.setrecursionlimit(limit)
     return ok, pairs, nodes
 
 

@@ -39,17 +39,37 @@ def face_tuple(vertices):
 
 
 def _maximal(faces):
-    """Maximal elements of a family of faces, longest first."""
+    """Maximal elements of a family of faces, longest first.
+
+    Each face is compared only with the longer maximal faces in the star of
+    its least crowded vertex.
+    """
     by_len = {}
     for f in set(faces):
         by_len.setdefault(len(f), []).append(f)
     out = []
+    star = {}  # vertex -> longer maximal faces containing it
     for n in sorted(by_len, reverse=True):
+        level = []
         for f in by_len[n]:
-            fs = set(f)
-            if not any(fs < set(g) for g in out):
-                out.append(f)
+            near = min((star.get(v, ()) for v in f), key=len, default=out)
+            if not any(set(f).issubset(g) for g in near):
+                level.append(f)
+        for g in level:
+            for v in g:
+                star.setdefault(v, []).append(g)
+        out.extend(level)
     return out
+
+
+def _ridge_map(facets):
+    """Ridge -> indices of the facets containing it (facets of dimension >= 1)."""
+    ridges = {}
+    for i, F in enumerate(facets):
+        if len(F) > 1:
+            for pos in range(len(F)):
+                ridges.setdefault(F[:pos] + F[pos + 1:], []).append(i)
+    return ridges
 
 
 @dataclass(frozen=True)
@@ -87,25 +107,22 @@ class SimplicialComplex:
     silently.
     """
 
-    __slots__ = ("facets", "_faces", "_by_dim")
+    __slots__ = ("facets", "_faces", "_by_dim", "_index")
 
     def __init__(self, facets=()):
         cleaned = {face_tuple(f) for f in facets}
         if any(len(f) == 0 for f in cleaned):
             raise InvalidComplexError("the empty face cannot be listed as a facet")
         if len({len(f) for f in cleaned}) > 1:
-            keep = []
-            for f in cleaned:
-                fs = set(f)
-                if any(len(g) > len(f) and fs < set(g) for g in cleaned):
-                    warnings.warn("dropping dominated facet %r" % (f,))
-                else:
-                    keep.append(f)
+            keep = _maximal(cleaned)
+            for f in cleaned.difference(keep):
+                warnings.warn("dropping dominated facet %r" % (f,))
         else:
             keep = cleaned
         self.facets = tuple(sorted(keep, key=_fkey))
         self._faces = None
         self._by_dim = None
+        self._index = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -156,23 +173,35 @@ class SimplicialComplex:
     def is_pure(self):
         return len({len(F) for F in self.facets}) <= 1
 
+    def _incidence(self):
+        """(vertex -> facet indices, ridge -> facet indices), cached; read-only."""
+        if self._index is None:
+            stars = {}
+            for i, F in enumerate(self.facets):
+                for v in F:
+                    stars.setdefault(v, []).append(i)
+            self._index = (stars, _ridge_map(self.facets))
+        return self._index
+
     def facets_containing(self, sigma):
-        ss = set(face_tuple(sigma))
-        return tuple(F for F in self.facets if ss <= set(F))
+        s, fs = face_tuple(sigma), self.facets
+        if not s:
+            return fs
+        star = self._incidence()[0].get(s[0], ())
+        return tuple(fs[i] for i in star if set(s).issubset(fs[i]))
 
     # -- local and global constructions ----------------------------------
 
     def link(self, sigma):
         s = face_tuple(sigma)
-        if not self.has_face(s):
+        star = self.facets_containing(s) if s else ()
+        if not star:
             raise InvalidComplexError("%r is not a face" % (s,))
-        ss = set(s)
         lk = []
-        for F in self.facets:
-            if ss <= set(F):
-                rest = tuple(v for v in F if v not in ss)
-                if rest:
-                    lk.append(rest)
+        for F in star:
+            rest = tuple(v for v in F if v not in s)
+            if rest:
+                lk.append(rest)
         return SimplicialComplex(lk)
 
     def star(self, sigma):
@@ -225,11 +254,10 @@ class SimplicialComplex:
             raise InvalidComplexError("boundary needs a pure complex")
         if self.dim <= 0:
             return SimplicialComplex()
-        count = {}
-        for F in self.facets:
-            for r in itertools.combinations(F, len(F) - 1):
-                count[r] = count.get(r, 0) + 1
-        return SimplicialComplex(r for r, c in count.items() if c == 1)
+        # built afresh: boundary is often a complex's only query, and caching
+        # the index on many small live complexes costs more memory than it saves
+        ridges = _ridge_map(self.facets)
+        return SimplicialComplex(r for r, fs in ridges.items() if len(fs) == 1)
 
     # -- relabelings ------------------------------------------------------
 
@@ -295,15 +323,9 @@ class SimplicialComplex:
         facets; ridges only count for facets of dimension >= 1.
         """
         fs = self.facets
-        ridge_map = {}
-        for i, F in enumerate(fs):
-            if len(F) < 2:
-                continue
-            for r in itertools.combinations(F, len(F) - 1):
-                ridge_map.setdefault(r, []).append(i)
         adj = [set() for _ in fs]
         pm = self.is_pure() and bool(fs)
-        for r, idxs in ridge_map.items():
+        for idxs in self._incidence()[1].values():
             if len(idxs) > 2:
                 pm = False
             for a, b in itertools.combinations(idxs, 2):
@@ -336,25 +358,21 @@ class SimplicialComplex:
         if not self.is_pure():
             raise InvalidComplexError("orientation needs a pure complex")
         fs = self.facets
-        ridge_map = {}
-        for i, F in enumerate(fs):
-            if len(F) < 2:
-                return {F: 1 for F in fs}
-            for pos in range(len(F)):
-                r = F[:pos] + F[pos + 1:]
-                ridge_map.setdefault(r, []).append((i, pos))
-        pairs = []
-        for r, ends in ridge_map.items():
+        if fs and len(fs[0]) < 2:
+            return {F: 1 for F in fs}
+        adj = {i: [] for i in range(len(fs))}
+        for r, ends in self._incidence()[1].items():
             if len(ends) > 2:
                 return None
             if len(ends) == 2:
-                pairs.append(ends)
-        adj = {i: [] for i in range(len(fs))}
-        for (i, pi), (j, pj) in pairs:
-            # compatible iff induced ridge orientations cancel
-            rel = -((-1) ** (pi + pj))
-            adj[i].append((j, rel))
-            adj[j].append((i, rel))
+                # compatible iff the ridge orientations induced by the
+                # positions of the omitted vertices cancel
+                i, j = ends
+                pi, pj = (next(p for p, v in enumerate(fs[k]) if v not in r)
+                          for k in ends)
+                rel = -((-1) ** (pi + pj))
+                adj[i].append((j, rel))
+                adj[j].append((i, rel))
         sign = {}
         for start in range(len(fs)):
             if start in sign:
@@ -388,9 +406,8 @@ class SimplicialComplex:
             return fail()
         if not self.is_connected():
             return fail()
-        for e in self.faces(1):
-            if len(self.facets_containing(e)) > 2:
-                return fail()
+        if any(len(fs) > 2 for fs in self._incidence()[1].values()):
+            return fail()
         closed = True
         for v in self.faces(0):
             lk = self.link(v)
@@ -400,8 +417,6 @@ class SimplicialComplex:
             for a, b in lk.facets:
                 degs[a] = degs.get(a, 0) + 1
                 degs[b] = degs.get(b, 0) + 1
-            if len(degs) != lk.n_vertices:
-                return fail()
             degset = sorted(degs.values())
             if all(d == 2 for d in degset):
                 pass  # single cycle: interior vertex

@@ -105,6 +105,7 @@ def complex_from_text(text):
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
     facets = []
+    stars = {}  # vertex -> indices of the earlier facets containing it
     for k in range(n_facets):
         line_no = 5 + k
         vs = _int_fields(_split_strict(lines[4 + k], line_no), line_no)
@@ -115,10 +116,16 @@ def complex_from_text(text):
         if facets and f <= facets[-1]:
             raise ScxFormatError("facets must be listed in increasing order",
                                  line_no)
-        for j, g in enumerate(facets):
-            if set(g) < set(f) or set(f) < set(g):
-                raise ScxFormatError("facet is nested with the one on line %d"
-                                     % (5 + j), line_no)
+        # an earlier facet nested with f sorts before f, so it contains f[0]
+        fs = set(f)
+        nested = [j for j in stars.get(f[0], ())
+                  if len(facets[j]) != len(f)
+                  and (fs.issubset(facets[j]) or fs.issuperset(facets[j]))]
+        if nested:
+            raise ScxFormatError("facet is nested with the one on line %d"
+                                 % (5 + nested[0]), line_no)
+        for v in f:
+            stars.setdefault(v, []).append(k)
         facets.append(f)
     used = {v for F in facets for v in F}
     if used != set(range(n_vertices)):

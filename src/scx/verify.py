@@ -1,9 +1,9 @@
 """Independent replay of collapse certificates.
 
-This module deliberately shares no bookkeeping with the search engine: it
-re-expands the face closure itself and re-checks freeness of every pair by
-scanning for strict cofaces, so a bug in the search cannot hide in its own
-verifier.
+This module deliberately shares no bookkeeping with the search engine or the
+incidence index of SimplicialComplex: it re-expands the face closure itself
+and re-checks freeness of every pair in its own face-to-strict-cofaces map,
+so a bug in the search cannot hide in its own verifier.
 """
 
 import itertools
@@ -20,9 +20,18 @@ def _closure(facets):
     return out
 
 
-def _strict_cofaces(alive, sigma):
-    s = set(sigma)
-    return [f for f in alive if len(f) > len(sigma) and s.issubset(f)]
+def _coface_index(faces):
+    """Map each face of a closed family to its strict cofaces in the family."""
+    up = {}
+    for tau in faces:
+        for k in range(1, len(tau)):
+            for sigma in itertools.combinations(tau, k):
+                up.setdefault(sigma, []).append(tau)
+    return up
+
+
+def _strict_cofaces(up, alive, sigma):
+    return [f for f in up.get(sigma, ()) if f in alive]
 
 
 def verify_certificate(cert, complex=None):
@@ -40,6 +49,7 @@ def verify_certificate(cert, complex=None):
         return False, "facet removal only belongs to endo-collapsible claims"
 
     alive = _closure(facets)
+    up = _coface_index(alive)
     removed = None
     if cert.removed_facet is not None:
         removed = face_tuple(cert.removed_facet)
@@ -54,7 +64,7 @@ def verify_certificate(cert, complex=None):
             return False, "pair %d names a dead face" % k
         if not (set(sigma) < set(tau) and len(tau) == len(sigma) + 1):
             return False, "pair %d is not a face and its immediate coface" % k
-        cofaces = _strict_cofaces(alive, sigma)
+        cofaces = _strict_cofaces(up, alive, sigma)
         if len(cofaces) != 1 or cofaces[0] != tau:
             return False, "pair %d removes a non-free face" % k
         alive.discard(sigma)

@@ -91,6 +91,28 @@ def test_endo_jobs_flag_matches_serial(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_jobs_flag_runs_the_serial_search(tmp_path, capsys):
+    oct_path = str(tmp_path / "oct.scx")
+    sd_path = str(tmp_path / "sd.scx")
+    run(capsys, "generate", "octahedron", "-o", oct_path)
+    run(capsys, "sd", oct_path, "-o", sd_path)
+    certs = []
+    for jobs in ("1", "2"):
+        cert_path = str(tmp_path / ("jobs%s.cert" % jobs))
+        code, out, _ = run(capsys, "endo", sd_path, "--seed", "3",
+                           "--jobs", jobs, "--cert", cert_path)
+        assert code == 0 and out.startswith("verdict yes\n")
+        certs.append((out, open(cert_path, "rb").read()))
+    assert certs[0] == certs[1]
+    # a stuck search reports the serial seed count under --jobs too
+    stuck = str(tmp_path / "stuck.scx")
+    write_complex(SimplicialComplex([(0, 1), (1, 2), (0, 2), (3,)]), stuck)
+    outs = [run(capsys, "collapse", stuck, "--tries", "4", "--jobs", jobs)[:2]
+            for jobs in ("1", "2")]
+    assert outs[0] == outs[1] == (
+        2, "verdict unknown\nreason greedy stuck after 4 seeds\n")
+
+
 def test_endo_report(tmp_path, capsys):
     disk = str(tmp_path / "disk.scx")
     write_complex(DISK2, disk)

@@ -1,5 +1,7 @@
 """Collapse search, strategies, certificates, and their independent replay."""
 
+import sys
+
 import pytest
 
 from scx import InvalidComplexError, SimplicialComplex, full_simplex, octahedron, simplex_boundary
@@ -10,6 +12,7 @@ from scx.collapse import (
     is_endo_collapsible,
     sd_endo_collapsibility_report,
 )
+from scx.subdivision import sd_k
 from scx.verify import verify_certificate
 
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
@@ -65,6 +68,18 @@ def test_budget_gives_unknown():
     res = is_collapsible(full_simplex(2), strategy="exhaustive", max_nodes=0)
     assert res.verdict == "unknown"
     assert "budget" in res.reason
+
+
+def test_exhaustive_search_restores_the_recursion_limit():
+    # 673 faces: deep enough that the search raises the limit while it runs
+    disk = sd_k(full_simplex(2), 3).complex
+    before = sys.getrecursionlimit()
+    assert is_collapsible(disk, strategy="exhaustive", max_nodes=50).verdict \
+        == "unknown"
+    assert sys.getrecursionlimit() == before
+    res = is_collapsible(disk, strategy="exhaustive")
+    assert res.verdict == "yes" and verify_certificate(res.certificate, disk)[0]
+    assert sys.getrecursionlimit() == before
 
 
 def test_greedy_is_deterministic_per_seed():

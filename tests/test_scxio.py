@@ -99,7 +99,7 @@ def test_parser_rejects_bad_facet_lines():
 
 def test_parser_rejects_nested_and_unordered_facets():
     e = bad("scx 1\ndim 2\nvertices 3\nfacets 2\n0 1\n0 1 2\n", 6)
-    assert "nested" in str(e)
+    assert "nested with the one on line 5" in str(e)
     e = bad("scx 1\ndim 1\nvertices 3\nfacets 2\n1 2\n0 1\n", 6)
     assert "increasing order" in str(e)
 

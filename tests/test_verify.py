@@ -1,0 +1,116 @@
+"""Certificate replay on a large complex, and the linear-time pipeline guard.
+
+The replay oracle here is the all-alive-faces scan: at every pair it looks
+through every alive face for strict cofaces of the free face.  The verifier
+reads its own face-to-coface map instead, and the two must give the same
+verdict and the same rejection message on every tampered certificate.
+"""
+
+import dataclasses
+import itertools
+import time
+
+import pytest
+
+from scx.collapse import is_endo_collapsible
+from scx.complexes import face_tuple, octahedron
+from scx.scxio import complex_from_text, complex_to_text
+from scx.subdivision import sd_k
+from scx.verify import verify_certificate
+
+
+def scan_replay(cert):
+    """Replay an endo-collapsible certificate by scanning every alive face."""
+    facets = {face_tuple(F) for F in cert.initial_facets}
+    alive = {f for F in facets for k in range(1, len(F) + 1)
+             for f in itertools.combinations(F, k)}
+    alive.discard(face_tuple(cert.removed_facet))
+    for k, pair in enumerate(cert.pairs):
+        sigma, tau = face_tuple(pair.free), face_tuple(pair.coface)
+        if sigma not in alive or tau not in alive:
+            return False, "pair %d names a dead face" % k
+        if not (set(sigma) < set(tau) and len(tau) == len(sigma) + 1):
+            return False, "pair %d is not a face and its immediate coface" % k
+        cofaces = [f for f in alive if len(f) > len(sigma) and set(sigma) <= set(f)]
+        if cofaces != [tau]:
+            return False, "pair %d removes a non-free face" % k
+        alive -= {sigma, tau}
+    if len(alive) == 1 and len(next(iter(alive))) == 1:
+        return True, "collapsed to a vertex"
+    return False, "terminal state is not a single vertex"
+
+
+def parsed_rung(k):
+    """sd^k of the octahedron as the parser returns it, with int labels."""
+    return complex_from_text(complex_to_text(sd_k(octahedron(), k).complex))
+
+
+@pytest.fixture(scope="module")
+def sd2_cert():
+    C = parsed_rung(2)
+    res = is_endo_collapsible(C)
+    assert res.verdict == "yes"
+    return C, res.certificate
+
+
+def tampered(cert, pairs):
+    return dataclasses.replace(cert, pairs=tuple(pairs))
+
+
+def test_greedy_certificate_replays_on_sd2_octahedron(sd2_cert):
+    C, cert = sd2_cert
+    assert len(C.facets) == 288
+    assert verify_certificate(cert, C) == (True, "collapsed to a vertex")
+    assert scan_replay(cert) == (True, "collapsed to a vertex")
+
+
+def test_tampered_certificates_get_the_scan_verdict(sd2_cert):
+    C, cert = sd2_cert
+    pairs = list(cert.pairs)
+    k = next(i for i, p in enumerate(pairs)
+             if len(p.free) == 2 and len(p.coface) == 3)
+    free = pairs[k].free
+    cases = {
+        # the last pair frees a vertex that is crowded at the start
+        "removes a non-free face": [pairs[-1]] + pairs[:-1],
+        "terminal state": pairs[:-1],
+        "names a dead face": pairs[:6] + pairs[5:],
+        "is not a face and its immediate coface":
+            pairs[:k] + [dataclasses.replace(pairs[k], free=free[:1])]
+            + pairs[k + 1:],
+    }
+    middle = len(pairs) // 2
+    cases["dropped from the middle"] = pairs[:middle] + pairs[middle + 1:]
+    for expect, changed in cases.items():
+        bad = tampered(cert, changed)
+        got = verify_certificate(bad, C)
+        assert got == scan_replay(bad), expect
+        assert not got[0]
+        if expect != "dropped from the middle":
+            assert expect in got[1]
+    assert verify_certificate(tampered(cert, cases["names a dead face"]), C)[1] \
+        == "pair 6 names a dead face"
+    assert verify_certificate(tampered(cert, cases["removes a non-free face"]),
+                              C)[1] == "pair 0 removes a non-free face"
+
+
+def test_parse_classify_and_replay_scale_linearly():
+    """sd^3 has 6 times the facets of sd^2, so linear code takes ~6 times as
+    long, while a quadratic scan takes ~36 times; 15 separates them."""
+
+    def best_of_3(k):
+        C = parsed_rung(k)
+        text = complex_to_text(C)
+        cert = is_endo_collapsible(C).certificate
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            D = complex_from_text(text)
+            kind = D.classify_surface().kind
+            ok = verify_certificate(cert, D)[0]
+            best = min(best, time.perf_counter() - start)
+            assert kind == "closed-surface" and ok
+        return best
+
+    small, large = best_of_3(2), best_of_3(3)
+    assert large / small < 15, (small, large)
