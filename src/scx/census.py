@@ -3,9 +3,12 @@
 The pseudomanifold fast paths all exploit the same fact: once an ordered
 facet correspondence is fixed, walking the dual graph forces the rest of the
 vertex identification, because crossing a shared ridge determines the image
-of the opposite vertex.  determine_gluing implements that walk, iso drives it
-over all ordered seed facets, and canonical_label replays it as a relabeling
-from every possible start and keeps the lexicographically smallest result.
+of the opposite vertex.  determine_gluing implements that walk and iso drives
+it over all ordered seed facets.  canonical_label walks from every flag (a
+facet and an order of its vertices), numbering vertices as it meets them, and
+keeps the smallest walk code, each facet's sorted labels in the order reached;
+a walk stops at its first entry above the best code's.  The code depends only
+on the flag up to isomorphism and lists every facet: a canonical form.
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
@@ -68,12 +71,16 @@ def determine_gluing(a, b, seed):
         if not c.dual_graph().pseudomanifold:
             raise InvalidComplexError(
                 "%s complex is not a pseudomanifold" % name)
+    return _glue(a, b, fa, ordered)
 
+
+def _glue(a, b, fa, ordered):
+    """determine_gluing's walk, for a seed and complexes already checked."""
     ridges_a = a._incidence()[1]
     ridges_b = b._incidence()[1]
     mapping = dict(zip(fa, ordered))
     inverse = {w: v for v, w in mapping.items()}
-    facet_image = {fa: gb}
+    facet_image = {fa: face_tuple(ordered)}
     queue = deque([fa])
     while queue:
         F = queue.popleft()
@@ -126,31 +133,41 @@ def _screens(complex):
     )
 
 
-def _pm_fast_path_applies(a, b):
-    if not (a.is_pure() and b.is_pure() and a.dim >= 1):
-        return False
-    dga, dgb = a.dual_graph(), b.dual_graph()
-    return (dga.pseudomanifold and dgb.pseudomanifold
-            and dga.connected and dgb.connected)
+def _pm_dual_graph(complex):
+    """Dual graph of a connected pure pseudomanifold of dimension >= 1, else None."""
+    dg = complex.is_pure() and complex.dim >= 1 and complex.dual_graph()
+    return dg if dg and dg.pseudomanifold and dg.connected else None
 
 
 def iso(a, b, max_nodes=10 ** 6):
-    """Isomorphism test with certificate; None when not isomorphic."""
+    """Isomorphism test with certificate; None when not isomorphic.
+    Raises BudgetExceededError past max_nodes seeds or search nodes."""
     if _screens(a) != _screens(b):
         return None
     if a.facets == b.facets:
         return IsoCertificate(tuple(sorted(((v, v) for v in a.vertices),
                                            key=lambda p: _fkey(p))))
 
-    if _pm_fast_path_applies(a, b):
+    bfacets = set(b.facets)
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError("isomorphism search exceeded %d nodes"
+                                      % max_nodes, budget=max_nodes)
+
+    if _pm_dual_graph(a) is not None and _pm_dual_graph(b) is not None:
         f0 = a.facets[0]
         for g in b.facets:
             for perm in itertools.permutations(g):
-                m = determine_gluing(a, b, (f0, perm))
+                tick()
+                m = _glue(a, b, f0, perm)
                 if m is None or len(m) != a.n_vertices:
                     continue
                 mapped = {face_tuple(m[v] for v in F) for F in a.facets}
-                if mapped == set(b.facets):
+                if mapped == bfacets:
                     return IsoCertificate(tuple(sorted(m.items(), key=lambda p: _fkey(p))))
         return None
 
@@ -161,13 +178,11 @@ def iso(a, b, max_nodes=10 ** 6):
     for w, s in sig_b.items():
         pool.setdefault(s, []).append(w)
     order = sorted(a.vertices, key=lambda v: (len(pool.get(sig_a[v], ())), _fkey((v,))))
-    bfacets = set(b.facets)
     by_size = {}
     for F in bfacets:
         by_size.setdefault(len(F), []).append(set(F))
     assignment = {}
     used = set()
-    nodes = 0
 
     def feasible(v):
         for F in a.facets_containing((v,)):
@@ -182,14 +197,10 @@ def iso(a, b, max_nodes=10 ** 6):
         return True
 
     def rec(i):
-        nonlocal nodes
         if i == len(order):
             mapped = {face_tuple(assignment[v] for v in F) for F in a.facets}
             return mapped == bfacets
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError("isomorphism search exceeded %d nodes"
-                                      % max_nodes, budget=max_nodes)
+        tick()
         v = order[i]
         for w in pool.get(sig_a[v], ()):
             if w in used:
@@ -207,53 +218,73 @@ def iso(a, b, max_nodes=10 ** 6):
     return None
 
 
-def _canon_run(facets, ridges, start, perm):
+def _walk_table(dg, index):
+    """Facets as vertex indices, and per facet (facing vertex, neighbour, apex)
+    for each neighbour: the vertices opposite their shared ridge."""
+    facets = [[index[v] for v in F] for F in dg.facets]
+    table = [[(*set(F).difference(facets[j]), j, *set(facets[j]).difference(F))
+              for j in nbrs] for F, nbrs in zip(facets, dg.adjacency)]
+    return facets, table
+
+
+def _canon_walk(facets, table, start, perm, best):
+    """Walk code and labels of one flag; None once the code exceeds best, or
+    ties it.  Neighbours go in the label order of the shared ridges, which is
+    the descending label order of the facing vertices."""
     label = {v: i for i, v in enumerate(perm)}
     nxt = len(perm)
     placed = {start}
+    code = [tuple(range(nxt))]
+    tied = best is not None
     queue = deque([start])
     while queue:
-        F = queue.popleft()
-        keyed = []
-        for pos in range(len(F)):
-            r = F[:pos] + F[pos + 1:]
-            keyed.append((tuple(sorted(label[x] for x in r)), r))
-        for _, r in sorted(keyed):
-            for h in ridges[r]:
-                H = facets[h]
-                if H in placed:
-                    continue
-                apex = next(x for x in H if x not in r)
-                if apex not in label:
-                    label[apex] = nxt
-                    nxt += 1
-                placed.add(H)
-                queue.append(H)
-    if len(placed) != len(facets):
-        return None, None
-    shape = tuple(sorted(tuple(sorted(label[v] for v in F)) for F in facets))
-    return shape, label
+        row = sorted((label[facing], j, apex)
+                     for facing, j, apex in table[queue.popleft()])
+        for _, j, apex in reversed(row):
+            if j in placed:
+                continue
+            placed.add(j)
+            queue.append(j)
+            if apex not in label:
+                label[apex] = nxt
+                nxt += 1
+            entry = tuple(sorted([label[v] for v in facets[j]]))
+            if tied:
+                if entry > best[len(code)]:
+                    return None
+                tied = entry == best[len(code)]
+            code.append(entry)
+    return None if tied else (code, label)
 
 
 def canonical_label(complex, budget=10 ** 6):
     """Canonical relabeling: returns (canonical complex, mapping to new ids).
 
-    Isomorphic complexes produce equal canonical complexes.  Connected pure
-    pseudomanifolds use dual-graph walks from every ordered facet; everything
-    else falls back to color refinement plus bounded within-cell search.
+    Isomorphic complexes produce equal canonical complexes, and
+    complex.relabel(mapping) is the canonical one.  Connected pure
+    pseudomanifolds keep the smallest walk code over all flags, aborting each
+    walk at its first worse facet; their representatives are canonical but
+    relabeled relative to earlier versions, which sorted full walks.
+    Everything else falls back to color refinement plus bounded within-cell
+    search.  Raises BudgetExceededError when flags or relabelings exceed budget.
     """
     if not complex.facets:
         return complex, {}
-    if _pm_fast_path_applies(complex, complex):
-        ridges = complex._incidence()[1]
-        best = None
-        best_label = None
-        for F in complex.facets:
+    dg = _pm_dual_graph(complex)
+    if dg is not None:
+        n_flags = len(dg.facets) * math.factorial(complex.dim + 1)
+        if n_flags > budget:
+            raise BudgetExceededError("canonical labeling needs %d walks (budget %d)"
+                                      % (n_flags, budget), requested=n_flags, budget=budget)
+        vertices = complex.vertices
+        facets, table = _walk_table(dg, {v: i for i, v in enumerate(vertices)})
+        best = best_label = None
+        for start, F in enumerate(facets):
             for perm in itertools.permutations(F):
-                shape, label = _canon_run(complex.facets, ridges, F, perm)
-                if shape is not None and (best is None or shape < best):
-                    best, best_label = shape, label
-        return SimplicialComplex(best), best_label
+                run = _canon_walk(facets, table, start, perm, best)
+                if run is not None:
+                    best, best_label = run
+        return SimplicialComplex(best), {v: best_label[i] for i, v in enumerate(vertices)}
 
     # color refinement on the "shares a face" graph
     sig = _vertex_signature(complex)

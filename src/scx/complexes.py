@@ -213,11 +213,14 @@ class SimplicialComplex:
 
     def deletion(self, other):
         """Subcomplex of faces containing no facet of `other` (complex or single face)."""
-        if isinstance(other, SimplicialComplex):
-            forb = [set(F) for F in other.facets]
-        else:
-            forb = [set(face_tuple(other))]
-        keep = [f for f in self.faces() if not any(b <= set(f) for b in forb)]
+        forb = other.facets if isinstance(other, SimplicialComplex) else [face_tuple(other)]
+        if () in forb:
+            return SimplicialComplex()  # the empty face lies in every face
+        by_first = {}  # a forbidden face inside f has its first vertex in f
+        for b in forb:
+            by_first.setdefault(b[0], []).append(set(b))
+        keep = [f for f in self.faces()
+                if not any(b <= set(f) for v in f for b in by_first.get(v, ()))]
         return SimplicialComplex(_maximal(keep))
 
     def induced(self, vertices):

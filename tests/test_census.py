@@ -7,9 +7,12 @@ answers from a plain vertex-permutation backtracker.
 """
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx import BudgetExceededError, InvalidComplexError, SimplicialComplex, octahedron, simplex_boundary
 from scx.census import (
@@ -23,6 +26,7 @@ from scx.census import (
     iso,
     manifold_count_bound,
 )
+from scx.subdivision import sd_k
 
 from conftest import random_complex, random_pure_complex
 
@@ -261,6 +265,67 @@ def test_canonical_label_budget():
     scatter = SimplicialComplex([(i,) for i in range(12)])
     with pytest.raises(BudgetExceededError):
         canonical_label(scatter, budget=1000)
+
+
+# connected pseudomanifolds: every disk with at most 6 triangles and every
+# closed surface on 6 vertices
+PSEUDOMANIFOLDS = ([D for level in enumerate_disks(6).values() for D in level]
+                   + enumerate_surfaces(6))
+
+
+@st.composite
+def relabeled(draw, source):
+    C = PSEUDOMANIFOLDS[source]
+    labels = draw(st.permutations(range(20)))
+    return C.relabel({v: labels[i] for i, v in enumerate(C.vertices)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_canonical_form_sees_through_relabelings(data):
+    i = data.draw(st.integers(0, len(PSEUDOMANIFOLDS) - 1))
+    j = i if data.draw(st.booleans()) else data.draw(
+        st.integers(0, len(PSEUDOMANIFOLDS) - 1))
+    a, b = data.draw(relabeled(i)), data.draw(relabeled(j))
+    ca, ma = canonical_label(a)
+    cb, mb = canonical_label(b)
+    assert ca == canonical_label(PSEUDOMANIFOLDS[i])[0]
+    assert a.relabel(ma) == ca and b.relabel(mb) == cb
+    assert (iso(a, b) is not None) == (ca == cb) == (i == j)
+
+
+def test_fast_paths_honour_their_budgets():
+    K = sd_k(octahedron(), 2).complex
+    with pytest.raises(BudgetExceededError) as err:
+        canonical_label(K, budget=100)
+    assert (err.value.requested, err.value.budget) == (288 * 6, 100)
+    assert canonical_label(K)[0].f_vector() == K.f_vector()
+
+    # equal screens, not isomorphic: the fast path tries all 5 * 3! seeds
+    a = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 4, 5)])
+    b = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 3, 5)])
+    assert iso(a, b, max_nodes=30) is None
+    with pytest.raises(BudgetExceededError) as err:
+        iso(a, b, max_nodes=29)
+    assert err.value.budget == 29
+
+
+def test_canonical_label_aborts_walks_early():
+    """sd^2 has 6 times the facets and flags of sd^1.  Walks that stop at the
+    first worse facet keep the time ratio near 6; a full walk from every flag
+    makes it ~36 and more; 20 separates them."""
+
+    def best_of_3(k):
+        C = sd_k(octahedron(), k).complex
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            canonical_label(C)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small, large = best_of_3(1), best_of_3(2)
+    assert large / small < 20, (small, large)
 
 
 # -- censuses -----------------------------------------------------------------

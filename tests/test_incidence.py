@@ -2,9 +2,10 @@
 
 Every reference below recomputes its answer from the facet list by plain
 scans, mostly pairwise ones, and never looks at the index.  The index-based
-methods of SimplicialComplex, the maximality filter and the parser's nesting
-check are each compared with them on random small complexes with mixed
-dimensions, duplicates and dominated faces, and on pieces of real surfaces.
+methods of SimplicialComplex, deletion's scan by first vertex, the
+maximality filter and the parser's nesting check are each compared with
+them on random small complexes with mixed dimensions, duplicates and
+dominated faces, and on pieces of real surfaces.
 """
 
 import itertools
@@ -203,6 +204,15 @@ def ref_classify(C):
                         cross_caps=2 - chi - b, boundary_components=b)
 
 
+def ref_deletion(C, other):
+    if isinstance(other, SimplicialComplex):
+        forb = [set(F) for F in other.facets]
+    else:
+        forb = [set(face_tuple(other))]
+    keep = [f for f in C.faces() if not any(b <= set(f) for b in forb)]
+    return SimplicialComplex(ref_maximal(keep))
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -243,6 +253,17 @@ def test_ridge_index_users_match_the_pairwise_scan(C):
 @given(complexes)
 def test_classify_surface_matches_the_full_scan(C):
     assert C.classify_surface() == ref_classify(C)
+
+
+@SETTINGS
+@given(complexes, st.data())
+def test_deletion_matches_the_full_scan(C, data):
+    own = sorted(C.faces())
+    single = data.draw(st.one_of(faces, st.sampled_from(own), st.just(())))
+    part = build(data.draw(st.lists(st.sampled_from(own), min_size=1,
+                                    max_size=4)))
+    for other in (single, part, data.draw(complexes)):
+        assert C.deletion(other) == ref_deletion(C, other)
 
 
 def test_pieces_reach_every_surface_kind():
