@@ -5,21 +5,27 @@ set stays closed under taking subsets throughout a collapse, that is the same
 as having exactly one immediate coface, so freeness is tracked with a single
 counter per face.  An elementary collapse removes a free face together with
 its unique coface.  Searches run against one of two goals: a fixed target
-subcomplex whose faces are protected, or "point" (any single vertex).
+subcomplex whose faces are protected, or "point" (any single vertex).  A
+protected face is never the coface of an unprotected free face, so it never
+dies, and the goal is reached once the alive count equals the goal's size.
 
-Three strategies share one engine: "greedy" does seeded random rollouts,
-"lex" is the deterministic least-candidate rollout, "exhaustive" is a
-depth-first search over collapse orders with a transposition table keyed by
-the exact alive-face bitmask.  "auto" chains greedy then exhaustive.
+Three strategies share one engine, built once per public call from the
+input's facets (the input's face cache stays unfilled) and reset between
+rollouts, candidate facets and attempts: "greedy" does seeded random
+rollouts, "lex" is the deterministic least-candidate rollout, "exhaustive"
+is an iterative depth-first search over collapse orders with a
+transposition table keyed by the exact alive-face bitmask, checked before
+each move.  "auto" chains greedy then exhaustive.
 Verdicts are "yes" (with certificate), "no" (proof: an invariant obstruction
 or an exhausted search), or "unknown" (budget or stuck rollouts).
 """
 
+import heapq
 import random
-import sys
 from dataclasses import dataclass
+from functools import partial
 
-from .complexes import SimplicialComplex, face_tuple, _fkey
+from .complexes import SimplicialComplex, face_tuple, _closure, _fkey, _vkey
 from .errors import InvalidComplexError
 
 DEFAULT_SEEDS = 64
@@ -70,10 +76,18 @@ def _face_order_key(f):
 
 
 class _Engine:
-    """Mutable collapse state over a fixed, downward-closed face list."""
+    """Mutable collapse state over a fixed, downward-closed face set.
 
-    def __init__(self, faces, protected):
-        self.faces = sorted(faces, key=_face_order_key)
+    goal None means "down to one vertex"; otherwise the goal faces are
+    protected.  reset() restores the start state.
+    """
+
+    def __init__(self, faces, goal=None):
+        # (len, vertex ranks) is the order of (len, _fkey), with one _vkey call
+        # per vertex instead of one per vertex occurrence
+        rank = {v: r for r, v in enumerate(
+            sorted((f[0] for f in faces if len(f) == 1), key=_vkey))}
+        self.faces = sorted(faces, key=lambda f: (len(f), [rank[v] for v in f]))
         self.index = {f: i for i, f in enumerate(self.faces)}
         n = len(self.faces)
         self.sub = [[] for _ in range(n)]
@@ -82,17 +96,23 @@ class _Engine:
             if len(f) < 2:
                 continue
             for pos in range(len(f)):
-                r = f[:pos] + f[pos + 1:]
-                j = self.index[r]
+                j = self.index[f[:pos] + f[pos + 1:]]
                 self.sub[i].append(j)
                 self.sup[j].append(i)
-        self.alive = bytearray([1]) * n
-        self.alive_mask = (1 << n) - 1
-        self.n_alive = n
-        self.up = [len(self.sup[i]) for i in range(n)]
-        self.protected = frozenset(self.index[f] for f in protected)
-        self.cand = [i for i in range(n)
-                     if self.up[i] == 1 and i not in self.protected]
+        self.protected = frozenset(self.index[f] for f in goal or ())
+        self.goal_size = 1 if goal is None else len(goal)
+        self.up0 = [len(s) for s in self.sup]
+        self.reset()
+
+    def reset(self, removed=None):
+        """Back to the start state, less the facet `removed` if given; the
+        candidates are the free faces in index order, as at build time."""
+        self.alive = bytearray([1]) * len(self.faces)
+        self.n_alive = len(self.faces)
+        self.up = self.up0[:]
+        if removed is not None:
+            self.apply_delete(self.index[removed], track=False)
+        self.cand = self.list_free()
 
     def pick_free(self, rng):
         """Uniform pick from the current free faces; stale entries drop out."""
@@ -106,13 +126,6 @@ class _Engine:
             cand.pop()
         return None
 
-    def pick_least(self):
-        best = None
-        for i in self.cand:
-            if self.alive[i] and self.up[i] == 1 and (best is None or i < best):
-                best = i
-        return best
-
     def list_free(self):
         return [i for i in range(len(self.faces))
                 if self.alive[i] and self.up[i] == 1 and i not in self.protected]
@@ -125,7 +138,6 @@ class _Engine:
 
     def _kill(self, x, touched, track):
         self.alive[x] = 0
-        self.alive_mask &= ~(1 << x)
         self.n_alive -= 1
         for r in self.sub[x]:
             if self.alive[r]:
@@ -151,132 +163,120 @@ class _Engine:
             self.up[r] += 1
         for x in ((i,) if t is None else (i, t)):
             self.alive[x] = 1
-            self.alive_mask |= 1 << x
             self.n_alive += 1
-
-
-def _closure_faces(complex):
-    return set(complex.faces())
 
 
 def _chi(faces):
     return sum((-1) ** (len(f) - 1) for f in faces)
 
 
-def _run_rollout(engine, rng, goal_mask, pick):
+def _least_free(engine):
+    """Lex picker: the least free face, from a heap fed by the new tail of
+    engine.cand, which only grows in a lex rollout.  A face that is stale
+    (dead, or with no alive coface) never turns free again, so stale heap
+    entries are dropped for good."""
+    heap, fed = [], 0
+
+    def pick():
+        nonlocal fed
+        for i in engine.cand[fed:]:
+            heapq.heappush(heap, i)
+        fed = len(engine.cand)
+        while heap and not (engine.alive[heap[0]] and engine.up[heap[0]] == 1):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+    return pick
+
+
+def _run_rollout(engine, pick):
     """Collapse until success, returning the pair index list, or None if stuck."""
     out = []
-    while True:
-        if goal_mask is None:
-            if engine.n_alive == 1:
-                return out
-        elif engine.alive_mask == goal_mask:
-            return out
-        i = pick(engine, rng)
+    while engine.n_alive != engine.goal_size:
+        i = pick()
         if i is None:
             return None
         t = engine.unique_coface(i)
         engine.apply_pair(i, t)
         out.append((i, t))
+    return out
 
 
-def _dfs(engine, goal_mask, max_nodes):
-    """Exhaustive search over collapse orders; True/False, or _Budget raised."""
-    seen = set()
-    nodes = 0
-    pairs = []
-    limit = sys.getrecursionlimit()
+def _dfs(engine, max_nodes):
+    """Exhaustive search over collapse orders; True/False, or _Budget raised.
 
-    def rec():
-        nonlocal nodes
-        if goal_mask is None:
-            if engine.n_alive == 1:
-                return True
-        elif engine.alive_mask == goal_mask:
-            return True
-        key = engine.alive_mask
-        if key in seen:
-            return False
-        nodes += 1
-        if nodes > max_nodes:
-            raise _Budget()
-        for i in engine.list_free():
+    Depth first with an explicit stack of (alive bitmask, remaining moves,
+    undo record of the move in).  A state joins `seen` once every move out
+    of it has failed, and a move into a seen state is never applied.
+    """
+    goal = engine.goal_size
+    if engine.n_alive == goal:
+        return True, [], 0
+    if max_nodes < 1:
+        raise _Budget()
+    pairs, seen, nodes = [], set(), 1
+    key = sum(1 << i for i, a in enumerate(engine.alive) if a)
+    stack = [(key, iter(engine.list_free()), None)]
+    while stack:
+        key, moves, entered = stack[-1]
+        for i in moves:
             t = engine.unique_coface(i)
+            if engine.n_alive - 2 == goal:
+                pairs.append((i, t))
+                return True, pairs, nodes
+            child = key ^ (1 << i | 1 << t)  # both bits are set
+            if child in seen:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise _Budget()
             record = engine.apply_pair(i, t, track=False)
             pairs.append((i, t))
-            if rec():
-                return True
-            pairs.pop()
-            engine.undo(record)
-        seen.add(key)
-        return False
-
-    sys.setrecursionlimit(max(limit, len(engine.faces) * 2 + 100))
-    try:
-        ok = rec()
-    finally:
-        sys.setrecursionlimit(limit)
-    return ok, pairs, nodes
+            stack.append((child, iter(engine.list_free()), record))
+            break
+        else:
+            seen.add(key)
+            stack.pop()
+            if entered is not None:
+                engine.undo(entered)
+                pairs.pop()
+    return False, pairs, nodes
 
 
-def _search(start_faces, protected, goal_faces, strategy, seed, seeds, max_nodes):
-    """Shared driver.  goal_faces None means "down to one vertex"."""
-    start = set(start_faces)
-    if goal_faces is not None:
-        goal = set(goal_faces)
-        if not goal <= start:
-            raise InvalidComplexError("target faces are not all present at the start")
-        if _chi(start) != _chi(goal):
-            return CollapseResult("no", "euler-obstruction")
-    else:
-        goal = None
-        if _chi(start) != 1:
-            return CollapseResult("no", "euler-obstruction")
+def _search(engine, strategy, seed, seeds, max_nodes, removed=None):
+    """Shared driver over one engine; `removed` is deleted at every reset."""
 
-    def fresh():
-        return _Engine(start, protected if goal is not None else ())
-
-    probe = fresh()
-    goal_mask = None
-    if goal is not None:
-        goal_mask = 0
-        for f in goal:
-            goal_mask |= 1 << probe.index[f]
-
-    def pairs_to_faces(engine, idx_pairs):
+    def pairs_to_faces(idx_pairs):
         return tuple(CollapsePair(free=engine.faces[i], coface=engine.faces[t])
                      for i, t in idx_pairs)
 
     if strategy in ("greedy", "auto"):
         for attempt in range(seeds):
             rng = random.Random(seed * _SEED_STRIDE + attempt)
-            engine = fresh()
-            got = _run_rollout(engine, rng, goal_mask,
-                               lambda e, r: e.pick_free(r))
+            engine.reset(removed)
+            got = _run_rollout(engine, partial(engine.pick_free, rng))
             if got is not None:
                 return CollapseResult("yes", "greedy seed %d" % attempt,
-                                      certificate=pairs_to_faces(engine, got))
+                                      certificate=pairs_to_faces(got))
         if strategy == "greedy":
             return CollapseResult("unknown", "greedy stuck after %d seeds" % seeds)
 
     if strategy == "lex":
-        engine = fresh()
-        got = _run_rollout(engine, None, goal_mask, lambda e, r: e.pick_least())
+        engine.reset(removed)
+        got = _run_rollout(engine, _least_free(engine))
         if got is not None:
-            return CollapseResult("yes", "lex",
-                                  certificate=pairs_to_faces(engine, got))
+            return CollapseResult("yes", "lex", certificate=pairs_to_faces(got))
         return CollapseResult("unknown", "lex rollout stuck")
 
     if strategy in ("exhaustive", "auto"):
-        engine = fresh()
+        engine.reset(removed)
         try:
-            ok, idx_pairs, nodes = _dfs(engine, goal_mask, max_nodes)
+            ok, idx_pairs, nodes = _dfs(engine, max_nodes)
         except _Budget:
             return CollapseResult("unknown", "node budget %d exceeded" % max_nodes,
                                   nodes=max_nodes)
         if ok:
             return CollapseResult("yes", "exhaustive", nodes=nodes,
-                                  certificate=pairs_to_faces(engine, idx_pairs))
+                                  certificate=pairs_to_faces(idx_pairs))
         return CollapseResult("no", "exhausted %d states" % nodes, nodes=nodes)
 
     raise InvalidComplexError("unknown strategy %r" % (strategy,))
@@ -297,20 +297,23 @@ def _finish(result, initial_facets, removed, claim, target_facets):
 def collapses_to(complex, target, strategy="greedy", seed=0,
                  seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse onto the target subcomplex?"""
+    faces, goal = _closure(complex.facets), _closure(target.facets)
     for F in target.facets:
-        if not complex.has_face(F):
+        if F not in faces:
             raise InvalidComplexError("target facet %r is not a face" % (F,))
-    goal = _closure_faces(target)
-    res = _search(_closure_faces(complex), goal, goal,
-                  strategy, seed, seeds, max_nodes)
+    if _chi(faces) != _chi(goal):
+        return CollapseResult("no", "euler-obstruction")
+    res = _search(_Engine(faces, goal), strategy, seed, seeds, max_nodes)
     return _finish(res, complex.facets, None, "collapse-to", target.facets)
 
 
 def is_collapsible(complex, strategy="greedy", seed=0,
                    seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse down to a single vertex?"""
-    res = _search(_closure_faces(complex), (), None,
-                  strategy, seed, seeds, max_nodes)
+    faces = _closure(complex.facets)
+    if _chi(faces) != 1:
+        return CollapseResult("no", "euler-obstruction")
+    res = _search(_Engine(faces), strategy, seed, seeds, max_nodes)
     return _finish(res, complex.facets, None, "collapsible", None)
 
 
@@ -338,16 +341,20 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
         candidates = list(complex.facets)
 
     bd = complex.boundary()
-    goal = _closure_faces(bd) if bd.facets else None
+    faces = _closure(complex.facets)
+    goal = _closure(bd.facets) if bd.facets else None
     target_facets = bd.facets if bd.facets else None
+    # every candidate has the top dimension, so all leave the same Euler number
+    if _chi(faces) - (-1) ** complex.dim != (_chi(goal) if goal else 1):
+        if len(candidates) == 1:
+            return CollapseResult("no", "euler-obstruction")
+        return CollapseResult("no", "all %d facets refuted" % len(candidates))
 
+    engine = _Engine(faces, goal)
     saw_unknown = False
     last = None
     for sigma in candidates:
-        start = _closure_faces(complex)
-        start.discard(sigma)
-        res = _search(start, goal if goal is not None else (),
-                      goal, strategy, seed, seeds, max_nodes)
+        res = _search(engine, strategy, seed, seeds, max_nodes, removed=sigma)
         if res.verdict == "yes":
             return _finish(res, complex.facets, sigma, "endo-collapsible",
                            target_facets)
@@ -420,9 +427,10 @@ def discrete_morse_vector(complex, attempts=16, seed=0):
         return ()
     d = complex.dim
     best = None
+    engine = _Engine(_closure(complex.facets))
     for attempt in range(attempts):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
-        engine = _Engine(_closure_faces(complex), ())
+        engine.reset()
         critical = [0] * (d + 1)
         while engine.n_alive:
             i = engine.pick_free(rng)

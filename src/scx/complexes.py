@@ -62,6 +62,15 @@ def _maximal(faces):
     return out
 
 
+def _closure(facets):
+    """Set of all nonempty faces of the given faces."""
+    faces = set()
+    for F in facets:
+        for k in range(1, len(F) + 1):
+            faces.update(itertools.combinations(F, k))
+    return faces
+
+
 def _ridge_map(facets):
     """Ridge -> indices of the facets containing it (facets of dimension >= 1)."""
     ridges = {}
@@ -144,11 +153,7 @@ class SimplicialComplex:
     def faces(self, dim=None):
         """All nonempty faces as a frozenset, or just those of one dimension."""
         if self._faces is None:
-            allf = set()
-            for F in self.facets:
-                for k in range(1, len(F) + 1):
-                    allf.update(itertools.combinations(F, k))
-            self._faces = frozenset(allf)
+            self._faces = frozenset(_closure(self.facets))
         if dim is None:
             return self._faces
         if self._by_dim is None:

@@ -1,10 +1,13 @@
 """Collapse search, strategies, certificates, and their independent replay."""
 
+import itertools
 import sys
+import time
 
 import pytest
 
 from scx import InvalidComplexError, SimplicialComplex, full_simplex, octahedron, simplex_boundary
+from scx import collapse
 from scx.collapse import (
     collapses_to,
     discrete_morse_vector,
@@ -12,10 +15,53 @@ from scx.collapse import (
     is_endo_collapsible,
     sd_endo_collapsibility_report,
 )
-from scx.subdivision import sd_k
+from scx.subdivision import sd, sd_k
 from scx.verify import verify_certificate
 
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+
+
+def closure(facets):
+    return {f for F in facets for k in range(1, len(F) + 1)
+            for f in itertools.combinations(F, k)}
+
+
+def best_of_3(call):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def dunce_hat():
+    """The dunce hat, triangulated from its quotient description.
+
+    Gluing the sides of the triangle T = [0, 1, 2] as a.a.a^-1 (0 -> 1 and
+    1 -> 2 are a, 2 -> 0 is a^-1) glues every side onto a in vertex order:
+    one vertex, one edge, one triangle.  A cell of sd(T), a chain of faces
+    of T, goes to its image under that gluing: a chain topped by a side
+    keeps only its vertex positions inside the side, one topped by a vertex
+    becomes the vertex, one topped by T stays itself.  The second derived
+    subdivision of such a quotient is simplicial, so a triangle of sd^2(T),
+    a chain of three nested cells of sd(T), goes to its three images.
+    """
+    def image(cell):
+        top = cell[-1]
+        if len(top) == 2:
+            return ("a",) + tuple(tuple(top.index(v) for v in F) for F in cell)
+        return ("v",) if len(top) == 1 else ("T",) + cell
+
+    labels = {}
+    triangles = []
+    for order in itertools.permutations((0, 1, 2)):
+        flag = tuple(tuple(sorted(order[:k])) for k in (1, 2, 3))
+        for cells in itertools.permutations(range(3)):
+            chain = [tuple(flag[j] for j in sorted(cells[:k])) for k in (1, 2, 3)]
+            triangles.append(tuple(labels.setdefault(image(c), len(labels))
+                                   for c in chain))
+    return SimplicialComplex(triangles)
 
 
 def test_triangle_is_collapsible():
@@ -160,3 +206,134 @@ def test_discrete_morse_vectors():
     assert discrete_morse_vector(full_simplex(2)) == (1, 0, 0)
     assert discrete_morse_vector(simplex_boundary(3)) == (1, 0, 1)
     assert discrete_morse_vector(octahedron()) == (1, 0, 1)
+
+
+def reference_lex(facets, removed, goal_facets):
+    """The lex rollout by full scans: at every step the least alive face, in
+    (size, label) order, with exactly one alive strict coface and outside
+    the goal, is collapsed with that coface."""
+    alive = closure(facets) - {removed}
+    goal = closure(goal_facets)
+    up = {f: [g for g in alive if len(g) > len(f) and set(f) < set(g)]
+          for f in alive}
+    pairs = []
+    while len(alive) != (len(goal) if goal else 1):
+        for f in sorted(alive - goal, key=lambda f: (len(f), f)):
+            cofaces = [g for g in up[f] if g in alive]
+            if len(cofaces) == 1:
+                pairs.append((f, cofaces[0]))
+                alive -= {f, cofaces[0]}
+                break
+        else:
+            return None
+    return pairs
+
+
+def test_lex_certificate_matches_a_reference_rollout():
+    # tuple labels of ints, whose universal order is plain tuple order
+    for C in (sd(octahedron()).complex, sd(full_simplex(2)).complex):
+        res = is_endo_collapsible(C, facet=C.facets[0], strategy="lex")
+        assert res.verdict == "yes" and verify_certificate(res.certificate, C)[0]
+        expect = reference_lex(C.facets, C.facets[0], C.boundary().facets)
+        assert [(p.free, p.coface) for p in res.certificate.pairs] == expect
+
+
+def test_lex_rollout_scales_linearly():
+    """sd^3 has 6 times the facets of sd^2.  A heap of candidates keeps each
+    lex step logarithmic; rescanning every candidate at every step made the
+    rollout quadratic.  Int labels keep label hashing out of the ratio."""
+    times = {}
+    for k in (2, 3):
+        C = sd_k(octahedron(), k).complex.normalize()
+        times[k] = best_of_3(lambda: is_endo_collapsible(
+            C, facet=C.facets[0], strategy="lex"))
+    assert times[3] / times[2] < 12, times
+
+
+def test_endo_search_scales_linearly_on_tuple_labels():
+    """sd^3 has 6 times the facets of sd^2, and its vertex labels nest one
+    level deeper.  Ordering the faces by vertex ranks computes each vertex's
+    sort key once; keying every face by its vertices' nested keys took about
+    30 times as long at sd^3 as at sd^2.  15 separates the two."""
+    times = {}
+    for k in (2, 3):
+        C = sd_k(octahedron(), k).complex
+        times[k] = best_of_3(lambda: is_endo_collapsible(C, facet=C.facets[0]))
+    assert times[3] / times[2] < 15, times
+
+
+def test_exhaustive_search_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the search set the recursion limit to %d" % limit)
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    disk = sd_k(full_simplex(2), 3).complex  # 673 faces
+    res = is_collapsible(disk, strategy="exhaustive")
+    assert res.verdict == "yes" and verify_certificate(res.certificate, disk)[0]
+    assert is_collapsible(disk, strategy="exhaustive", max_nodes=50).verdict \
+        == "unknown"
+    # 1968 moves deep, past the interpreter's default limit of 1000 frames
+    disk = sd_k(full_simplex(2), 4).complex
+    res = is_collapsible(disk, strategy="exhaustive")
+    assert res.verdict == "yes" and len(res.certificate.pairs) > 1000
+    assert verify_certificate(res.certificate, disk)[0]
+
+
+def test_one_engine_per_search_and_no_face_cache(monkeypatch):
+    builds = []
+    build = collapse._Engine.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(collapse._Engine, "__init__", counting_build)
+
+    def run(call):
+        builds.clear()
+        out = call()
+        return len(builds), out
+
+    # greedy collapses the whisker (2, 3), then every seed is stuck
+    stuck = SimplicialComplex([(0, 1), (1, 2), (0, 2), (2, 3), (4,)])
+    n, res = run(lambda: is_collapsible(stuck, strategy="auto"))
+    assert n == 1 and res.verdict == "no" and res.reason.startswith("exhausted")
+    assert stuck._faces is None
+
+    # a one-node budget leaves every facet unconfirmed, so all 8 are tried
+    octa = octahedron()
+    n, res = run(lambda: is_endo_collapsible(octa, strategy="exhaustive",
+                                             max_nodes=1))
+    assert n == 1 and res.verdict == "unknown"
+    assert res.reason == "no facet confirmed; some runs hit the budget"
+    assert octa._faces is None
+
+    # a loop plus a vertex has the disk's Euler number, not its homotopy type
+    disk = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    loop = SimplicialComplex([(0, 1), (1, 2), (0, 2), (3,)])
+    n, res = run(lambda: collapses_to(disk, loop, strategy="auto"))
+    assert n == 1 and res.verdict == "no" and res.reason.startswith("exhausted")
+    assert disk._faces is None and loop._faces is None
+
+    disk = sd(full_simplex(2)).complex
+    n, vec = run(lambda: discrete_morse_vector(disk, attempts=16))
+    assert n == 1 and vec == (1, 0, 0)
+    assert disk._faces is None
+
+
+def test_dunce_hat_is_not_collapsible():
+    hat = dunce_hat()
+    assert hat.f_vector() == (17, 52, 36)
+    assert hat.euler_characteristic() == 1
+    on_edge = {}
+    for T in hat.facets:
+        for e in itertools.combinations(T, 2):
+            on_edge[e] = on_edge.get(e, 0) + 1
+    assert min(on_edge.values()) >= 2
+    # the glued edge a, in 4 pieces, is the only place three triangles meet
+    assert sorted(on_edge.values()) == [2] * 48 + [3] * 4
+    for seed in range(5):
+        assert is_collapsible(hat, seed=seed).verdict != "yes"
+    res = is_collapsible(hat, strategy="exhaustive")
+    assert res.verdict == "no"
+    assert res.reason == "exhausted %d states" % res.nodes and res.nodes > 0
