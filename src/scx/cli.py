@@ -36,17 +36,22 @@ def _emit(text, out):
             fh.write(text)
 
 
+def _int_list(text):
+    """Integers separated by whitespace, as in '0 1 2'."""
+    try:
+        return tuple(int(p) for p in text.split())
+    except ValueError:
+        raise ScxFormatError("non-integer entry in %r" % text) from None
+
+
 def _parse_faces(text):
     """Inline subcomplex syntax: facets joined by commas, vertices by spaces."""
     facets = []
     for chunk in text.split(","):
-        parts = chunk.split()
-        if not parts:
+        facet = _int_list(chunk)
+        if not facet:
             raise ScxFormatError("empty facet in %r" % text)
-        try:
-            facets.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ScxFormatError("non-integer vertex in %r" % chunk)
+        facets.append(facet)
     return SimplicialComplex(facets)
 
 
@@ -126,7 +131,7 @@ def cmd_endo(args):
                                        verdict, reason))
         print("hypotheses %s" % rep.hypotheses_met)
         return _verdict_exit(rep.conclusion)
-    facet = face_tuple(int(v) for v in args.facet.split()) if args.facet else None
+    facet = face_tuple(_int_list(args.facet)) if args.facet else None
     res = is_endo_collapsible(C, facet=facet, strategy=args.strategy,
                               seed=args.seed, seeds=args.tries,
                               max_nodes=args.budget)
@@ -154,9 +159,9 @@ def cmd_reconstruct(args):
 
 def cmd_generate(args):
     if args.family == "strip":
-        C = strip_surface(tuple(int(v) for v in args.perm.split()))
+        C = strip_surface(_int_list(args.perm))
     elif args.family == "grid":
-        C = grid_surface(tuple(int(v) for v in args.perm.split()))
+        C = grid_surface(_int_list(args.perm))
     elif args.family == "torus":
         try:
             C = torus_from_pattern(args.r, args.pattern)

@@ -423,6 +423,9 @@ def discrete_morse_vector(complex, attempts=16, seed=0):
     top-dimensional alive face as critical.  Runs are compared top dimension
     first, so fewer high critical faces always wins.
     """
+    if attempts < 1:
+        raise InvalidComplexError("attempts must be at least 1, got %d"
+                                  % attempts)
     if not complex.facets:
         return ()
     d = complex.dim

@@ -133,6 +133,23 @@ class SimplicialComplex:
         self._by_dim = None
         self._index = None
 
+    @classmethod
+    def _canonical(cls, facets):
+        """Store facets that are already canonical, without checking them.
+
+        Canonical means four things: the facets are distinct, each one is
+        strictly increasing in the universal label order, none is contained
+        in another, and the sequence is sorted by _fkey.  Only callers that
+        prove all four may use this; input from outside the program goes
+        through __init__.
+        """
+        self = cls.__new__(cls)
+        self.facets = tuple(facets)
+        self._faces = None
+        self._by_dim = None
+        self._index = None
+        return self
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -214,7 +231,7 @@ class SimplicialComplex:
         fs = self.facets_containing(sigma)
         if not fs:
             raise InvalidComplexError("%r is not a face" % (face_tuple(sigma),))
-        return SimplicialComplex(fs)
+        return SimplicialComplex._canonical(fs)  # an in-order subset of facets
 
     def deletion(self, other):
         """Subcomplex of faces containing no facet of `other` (complex or single face)."""
@@ -322,7 +339,9 @@ class SimplicialComplex:
         groups = {}
         for F in self.facets:
             groups.setdefault(find(F[0]), []).append(F)
-        return [SimplicialComplex(fs) for _, fs in sorted(groups.items(), key=lambda kv: _vkey(kv[0]))]
+        # each group is an in-order subset of the canonical facet tuple
+        return [SimplicialComplex._canonical(fs)
+                for _, fs in sorted(groups.items(), key=lambda kv: _vkey(kv[0]))]
 
     def dual_graph(self):
         """Facet adjacency across shared ridges.
@@ -416,22 +435,32 @@ class SimplicialComplex:
             return fail()
         if any(len(fs) > 2 for fs in self._incidence()[1].values()):
             return fail()
+        fs = self.facets
         closed = True
-        for v in self.faces(0):
-            lk = self.link(v)
-            if lk.dim != 1 or not lk.is_connected():
+        for v, star in self._incidence()[0].items():
+            # the link of v is the graph of edges F - v over its star facets
+            nbrs = {}
+            for i in star:
+                x, y, z = fs[i]
+                a, b = (y, z) if v == x else (x, z) if v == y else (x, y)
+                nbrs.setdefault(a, []).append(b)
+                nbrs.setdefault(b, []).append(a)
+            # no edge lies in three triangles, so the link is a union of
+            # cycles and paths; walk the piece from one path end, or from
+            # anywhere if there is none: a single cycle (interior vertex) or
+            # path (boundary vertex) meets every vertex
+            ends = [u for u, ns in nbrs.items() if len(ns) == 1]
+            start = ends[0] if ends else next(iter(nbrs))
+            prev, cur, seen = start, nbrs[start][0], 1
+            while cur != start and len(nbrs[cur]) == 2:
+                x, y = nbrs[cur]
+                prev, cur, seen = cur, (y if x == prev else x), seen + 1
+            if cur != start:
+                seen += 1  # the far end of a path
+            if seen != len(nbrs):
                 return fail()
-            degs = {}
-            for a, b in lk.facets:
-                degs[a] = degs.get(a, 0) + 1
-                degs[b] = degs.get(b, 0) + 1
-            degset = sorted(degs.values())
-            if all(d == 2 for d in degset):
-                pass  # single cycle: interior vertex
-            elif degset.count(1) == 2 and set(degset) <= {1, 2}:
-                closed = False  # single path: boundary vertex
-            else:
-                return fail()
+            if ends:
+                closed = False
         orient = self.orientation()
         orientable = orient is not None
         if closed:

@@ -16,6 +16,11 @@ list stops changing; if the iteration ever cycles, the lexicographically
 smallest state of the cycle is used.  Rewriting a written file is therefore
 byte-identical.
 
+Reading is strict in the same way: facet lines must hold strictly
+increasing labels, come in increasing order and never nest.  A file that
+passes those checks lists its facets in canonical form already, so the
+parser hands them straight to the complex without sorting them again.
+
 Certificates use one line per step:
 
     remove 0 1 2            (at most once, first; endo-collapsible claims only)
@@ -68,7 +73,7 @@ def complex_to_text(complex):
 
 def _split_strict(line, line_no):
     parts = line.split(" ")
-    if any(p == "" for p in parts):
+    if "" in parts:
         raise ScxFormatError("malformed spacing", line_no)
     return parts
 
@@ -105,27 +110,34 @@ def complex_from_text(text):
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
     facets = []
-    stars = {}  # vertex -> indices of the earlier facets containing it
+    # vertex -> indices of the earlier facets containing it; two distinct
+    # facets of one size cannot nest, so it is kept only if sizes differ
+    stars = {} if len({line.count(" ") for line in lines[4:]}) > 1 else None
     for k in range(n_facets):
         line_no = 5 + k
-        vs = _int_fields(_split_strict(lines[4 + k], line_no), line_no)
-        if vs != sorted(vs) or len(set(vs)) != len(vs):
-            raise ScxFormatError("facet vertices must be strictly increasing",
-                                 line_no)
-        f = tuple(vs)
+        line = lines[4 + k]
+        try:
+            f = tuple(map(int, line.split(" ")))
+        except ValueError:  # an empty or non-integer field
+            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
+        for a, b in zip(f, f[1:]):
+            if a >= b:
+                raise ScxFormatError("facet vertices must be strictly increasing",
+                                     line_no)
         if facets and f <= facets[-1]:
             raise ScxFormatError("facets must be listed in increasing order",
                                  line_no)
-        # an earlier facet nested with f sorts before f, so it contains f[0]
-        fs = set(f)
-        nested = [j for j in stars.get(f[0], ())
-                  if len(facets[j]) != len(f)
-                  and (fs.issubset(facets[j]) or fs.issuperset(facets[j]))]
-        if nested:
-            raise ScxFormatError("facet is nested with the one on line %d"
-                                 % (5 + nested[0]), line_no)
-        for v in f:
-            stars.setdefault(v, []).append(k)
+        if stars is not None:
+            # an earlier facet nested with f sorts before f, so it contains f[0]
+            fs = set(f)
+            nested = [j for j in stars.get(f[0], ())
+                      if len(facets[j]) != len(f)
+                      and (fs.issubset(facets[j]) or fs.issuperset(facets[j]))]
+            if nested:
+                raise ScxFormatError("facet is nested with the one on line %d"
+                                     % (5 + nested[0]), line_no)
+            for v in f:
+                stars.setdefault(v, []).append(k)
         facets.append(f)
     used = {v for F in facets for v in F}
     if used != set(range(n_vertices)):
@@ -135,7 +147,9 @@ def complex_from_text(text):
     if got_dim != dim:
         raise ScxFormatError("declared dim %d but facets have dim %d"
                              % (dim, got_dim), 2)
-    return SimplicialComplex(facets)
+    # distinct, strictly increasing, unnested and in increasing order: the
+    # int facets are canonical as they stand
+    return SimplicialComplex._canonical(facets)
 
 
 def write_complex(complex, path):
@@ -157,7 +171,7 @@ def _int_face_str(face, joiner):
             raise ScxFormatError(
                 "certificate serialization needs integer vertex labels; "
                 "write the complex first to normalize it")
-    return joiner.join(str(v) for v in face)
+    return joiner.join(map(str, face))
 
 
 def certificate_to_text(cert):
@@ -177,11 +191,17 @@ def certificate_to_text(cert):
 
 
 def _parse_face(token, line_no, sep):
-    vs = _int_fields(token.split(sep), line_no)
+    fields = token.split(sep)
     try:
-        return face_tuple(vs)
-    except InvalidComplexError as e:
-        raise ScxFormatError(str(e), line_no)
+        vs = tuple(sorted(map(int, fields)))
+    except ValueError:  # name the first bad field
+        vs = tuple(sorted(_int_fields(fields, line_no)))
+    if len(set(vs)) != len(vs):
+        try:
+            face_tuple(vs)
+        except InvalidComplexError as e:  # names the repeated vertex
+            raise ScxFormatError(str(e), line_no)
+    return vs
 
 
 def certificate_from_text(text, complex):

@@ -126,6 +126,9 @@ def test_morse(tmp_path, capsys):
     run(capsys, "generate", "octahedron", "-o", oct_path)
     code, out, err = run(capsys, "morse", oct_path)
     assert code == 0 and out == "morse 1 0 1\n"
+    for attempts in ("0", "-2"):
+        code, out, err = run(capsys, "morse", oct_path, "--attempts", attempts)
+        assert code == 3 and out == "" and "attempts must be at least 1" in err
 
 
 def test_reconstruct_roundtrip(tmp_path, capsys):
@@ -205,6 +208,12 @@ def test_usage_and_format_errors(tmp_path, capsys):
     write_complex(DISK2, disk)
     code, out, err = run(capsys, "collapse", disk, "--target", "0 x")
     assert code == 3
+    # a non-integer facet or permutation is a format error, not a crash
+    code, out, err = run(capsys, "endo", disk, "--facet", "a b c")
+    assert code == 3 and "format error" in err and "'a b c'" in err
+    for family in ("strip", "grid"):
+        code, out, err = run(capsys, "generate", family, "--perm", "x")
+        assert code == 3 and "format error" in err and "'x'" in err
 
 
 def test_module_entry_point(tmp_path):

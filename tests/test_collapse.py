@@ -117,7 +117,8 @@ def test_budget_gives_unknown():
 
 
 def test_exhaustive_search_restores_the_recursion_limit():
-    # 673 faces: deep enough that the search raises the limit while it runs
+    # 673 faces: deep enough that a recursive search would need a higher
+    # limit; the iterative search never changes it
     disk = sd_k(full_simplex(2), 3).complex
     before = sys.getrecursionlimit()
     assert is_collapsible(disk, strategy="exhaustive", max_nodes=50).verdict \
@@ -206,6 +207,11 @@ def test_discrete_morse_vectors():
     assert discrete_morse_vector(full_simplex(2)) == (1, 0, 0)
     assert discrete_morse_vector(simplex_boundary(3)) == (1, 0, 1)
     assert discrete_morse_vector(octahedron()) == (1, 0, 1)
+    for attempts in (0, -1):
+        with pytest.raises(InvalidComplexError, match="attempts"):
+            discrete_morse_vector(octahedron(), attempts=attempts)
+        with pytest.raises(InvalidComplexError, match="attempts"):
+            discrete_morse_vector(SimplicialComplex(), attempts=attempts)
 
 
 def reference_lex(facets, removed, goal_facets):

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scx.complexes import (DualGraph, SimplicialComplex, SurfaceClass,
-                           _maximal, face_tuple, octahedron)
+                           _maximal, face_tuple, full_simplex, octahedron)
 from scx.errors import InvalidComplexError, ScxFormatError
-from scx.scxio import MAGIC, complex_from_text
+from scx.scxio import MAGIC, complex_from_text, complex_to_text
+from scx.subdivision import sd_k
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -28,8 +29,13 @@ RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 TORUS7 = [tuple(sorted(((i + a) % 7, (i + b) % 7, (i + c) % 7)))
           for i in range(7) for a, b, c in ((0, 1, 3), (0, 2, 3))]
+# connected, every edge in at most two triangles, but vertex 0 is pinched:
+# its link is two edges, a path plus a cycle, or two cycles
+PINCHED = ([(0, 1, 2), (0, 3, 4)],
+           [(0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 4, 5), (0, 5, 6)],
+           [(0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 4, 5), (0, 5, 6), (0, 4, 6)])
 BASES = (list(octahedron().facets), RP2, TORUS7,
-         [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5)])
+         [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5)]) + PINCHED
 
 faces = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True).map(tuple)
 
@@ -105,6 +111,28 @@ def ref_ridge_counts(facets):
         for r in itertools.combinations(F, len(F) - 1):
             count[r] = count.get(r, 0) + 1
     return count
+
+
+def ref_star(C, sigma):
+    fs = ref_facets_containing(C, sigma)
+    if not fs:
+        raise InvalidComplexError("%r is not a face" % (face_tuple(sigma),))
+    return SimplicialComplex(fs)
+
+
+def ref_components(C):
+    """Vertex-connected pieces, merged pairwise until nothing changes."""
+    pieces = [[F] for F in C.facets]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(pieces)), 2):
+            if {v for F in pieces[a] for v in F} & {v for F in pieces[b] for v in F}:
+                pieces[a] += pieces.pop(b)
+                merged = True
+                break
+    return sorted((SimplicialComplex(p) for p in pieces),
+                  key=lambda P: P.vertices[0])
 
 
 def ref_boundary(C):
@@ -239,6 +267,13 @@ def test_facets_containing_and_link_match_the_full_scan(C, probes):
     for sigma in sorted(C.faces()) + probes + [()]:
         assert C.facets_containing(sigma) == ref_facets_containing(C, sigma)
         assert outcome(C.link, sigma) == outcome(ref_link, C, sigma)
+        assert outcome(C.star, sigma) == outcome(ref_star, C, sigma)
+
+
+@SETTINGS
+@given(complexes)
+def test_connected_components_match_pairwise_merging(C):
+    assert C.connected_components() == ref_components(C)
 
 
 @SETTINGS
@@ -275,6 +310,37 @@ def test_pieces_reach_every_surface_kind():
     assert kinds == {("closed-surface", True), ("closed-surface", False),
                      ("surface-with-boundary", True),
                      ("surface-with-boundary", False)}
+    for raw in PINCHED:
+        C = build(raw)
+        assert C.is_connected() and C.dual_graph().pseudomanifold
+        assert C.classify_surface() == ref_classify(C)
+        assert C.classify_surface().kind == "not-a-surface"
+
+
+def test_classify_surface_builds_no_complex_per_vertex(monkeypatch):
+    """Vertex links are read off the stars: on sd^2 of the octahedron (146
+    vertices) and of a triangle (37) at most the boundary and its components
+    are built."""
+    rungs = [complex_from_text(complex_to_text(sd_k(base, 2).complex))
+             for base in (octahedron(), full_simplex(2))]
+    made = []
+    init, canonical = SimplicialComplex.__init__, SimplicialComplex._canonical
+
+    def counting_init(self, *args):
+        made.append("init")
+        init(self, *args)
+
+    def counting_canonical(cls, facets):
+        made.append("canonical")
+        return canonical(facets)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(SimplicialComplex, "_canonical",
+                        classmethod(counting_canonical))
+    for C, kind in zip(rungs, ("closed-surface", "surface-with-boundary")):
+        del made[:]
+        assert C.classify_surface().kind == kind
+        assert len(made) <= 2, (kind, len(made))
 
 
 # -- the parser's nesting check ------------------------------------------------

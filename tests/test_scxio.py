@@ -5,11 +5,16 @@ writer is checked against a frozen byte string and the parser against the
 writer.
 """
 
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx.collapse import collapses_to, is_collapsible, is_endo_collapsible
 from scx.complexes import SimplicialComplex, full_simplex, octahedron
 from scx.errors import ScxFormatError
+from scx.families import polygon_triangulations
 from scx.scxio import (canonical_facets, certificate_from_text,
                        certificate_to_text, complex_from_text,
                        complex_to_text, read_certificate, read_complex,
@@ -91,10 +96,13 @@ def test_parser_rejects_bad_headers():
 
 def test_parser_rejects_bad_facet_lines():
     base = "scx 1\ndim 2\nvertices 3\nfacets 1\n"
-    bad(base + "2 1 0\n", 5)
-    bad(base + "0 0 1\n", 5)
-    bad(base + "0  1 2\n", 5)
-    bad(base + "0 1 x\n", 5)
+    increasing = "facet vertices must be strictly increasing"
+    for line, message in (("2 1 0", increasing),
+                          ("0 0 1", increasing),
+                          ("0  1 2", "malformed spacing"),
+                          ("0 1 2 ", "malformed spacing"),
+                          ("0 1 x", "expected an integer, got 'x'")):
+        assert str(bad(base + line + "\n", 5)) == "line 5: " + message
 
 
 def test_parser_rejects_nested_and_unordered_facets():
@@ -169,3 +177,79 @@ def test_certificate_parser_rejections():
         certificate_from_text("frob 1 2\nclaim collapsible\n", DISK2)
     with pytest.raises(ScxFormatError):
         certificate_from_text("target 0 1\nclaim collapsible\n", DISK2)
+
+
+def test_certificate_face_rejections_name_the_line():
+    head = "remove 0 1 2\ncollapse 1,2 1,2,3\n"
+    for line, message in (
+            ("collapse 2,1 3,1,1", "repeated vertex 1 in face (1, 1, 3)"),
+            ("collapse 1,x 1,2,3", "expected an integer, got 'x'"),
+            ("collapse 1,2  1,2,3", "malformed spacing"),
+            ("collapse 1,,2 1,2,3", "expected an integer, got ''")):
+        with pytest.raises(ScxFormatError) as e:
+            certificate_from_text(head + line + "\nclaim endo-collapsible\n",
+                                  DISK2)
+        assert str(e.value) == "line 3: " + message
+
+
+# -- round trips under Hypothesis ----------------------------------------------
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+labels = st.one_of(st.integers(-3, 40), st.text("abc", max_size=2),
+                   st.tuples(st.integers(0, 2), st.text("ab", max_size=1)))
+
+
+@st.composite
+def labelled_complexes(draw):
+    """Random complexes on int, str and tuple labels, dominated faces included."""
+    names = draw(st.lists(labels, min_size=7, max_size=7, unique=True))
+    raw = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4,
+                                 unique=True), max_size=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex([tuple(names[i] for i in f) for f in raw])
+
+
+@SETTINGS
+@given(labelled_complexes())
+def test_text_roundtrip_is_byte_identical(C):
+    text = complex_to_text(C)
+    D = complex_from_text(text)
+    assert complex_to_text(D) == text
+    # the parser hands its facets over unchecked; the checking constructor
+    # must find nothing to change
+    assert D.facets == SimplicialComplex(D.facets).facets
+    assert D.f_vector() == C.f_vector()
+
+
+DISKS = [SimplicialComplex(T) for n in range(4, 9)
+         for T in polygon_triangulations(n)]
+
+
+@st.composite
+def disk_certificates(draw):
+    """Endo and collapse-to certificates of a small disk read from its text."""
+    disk = draw(st.sampled_from(DISKS))
+    C = complex_from_text(complex_to_text(disk))
+    strategy = draw(st.sampled_from(["greedy", "lex"]))
+    seed = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        facet = draw(st.sampled_from(C.facets))
+        res = is_endo_collapsible(C, facet=facet, strategy=strategy, seed=seed)
+    else:
+        target = SimplicialComplex([draw(st.sampled_from(C.facets))])
+        res = collapses_to(C, target, strategy=strategy, seed=seed)
+    assert res.verdict == "yes"
+    return C, res.certificate
+
+
+@SETTINGS
+@given(disk_certificates())
+def test_certificate_text_roundtrip_is_byte_identical(case):
+    C, cert = case
+    text = certificate_to_text(cert)
+    parsed = certificate_from_text(text, C)
+    assert parsed == cert
+    assert certificate_to_text(parsed) == text

@@ -11,9 +11,11 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx.collapse import is_endo_collapsible
-from scx.complexes import face_tuple, octahedron
+from scx.complexes import face_tuple, octahedron, simplex_boundary
 from scx.scxio import complex_from_text, complex_to_text
 from scx.subdivision import sd_k
 from scx.verify import verify_certificate
@@ -92,6 +94,40 @@ def test_tampered_certificates_get_the_scan_verdict(sd2_cert):
         == "pair 6 names a dead face"
     assert verify_certificate(tampered(cert, cases["removes a non-free face"]),
                               C)[1] == "pair 0 removes a non-free face"
+
+
+# closed spheres, so that scan_replay's single-vertex end state is the claim
+SPHERES = [parsed_rung(0), parsed_rung(1),
+           complex_from_text(complex_to_text(simplex_boundary(3))),
+           complex_from_text(complex_to_text(sd_k(simplex_boundary(3), 1)
+                                             .complex))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_single_pair_mutations_get_the_scan_verdict(data):
+    """Drop one pair, swap it with its neighbour, or replace its free face or
+    coface by another face: the replay must agree with the scan, which
+    decides whether the mutant is still a valid collapse."""
+    C = data.draw(st.sampled_from(SPHERES))
+    res = is_endo_collapsible(C, seed=data.draw(st.integers(0, 3)),
+                              strategy=data.draw(st.sampled_from(["greedy",
+                                                                  "lex"])))
+    assert res.verdict == "yes"
+    cert = res.certificate
+    pairs = list(cert.pairs)
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    how = data.draw(st.sampled_from(["drop", "swap", "free", "coface"]))
+    if how == "drop":
+        del pairs[k]
+    elif how == "swap":
+        k = min(k, len(pairs) - 2)
+        pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+    else:
+        face = data.draw(st.sampled_from(sorted(C.faces())))
+        pairs[k] = dataclasses.replace(pairs[k], **{how: face})
+    bad = tampered(cert, pairs)
+    assert verify_certificate(bad, C) == scan_replay(bad)
 
 
 def test_parse_classify_and_replay_scale_linearly():
