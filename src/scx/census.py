@@ -343,7 +343,9 @@ def enumerate_surfaces(n_vertices):
 
     Grows triangle sets from a fixed seeded edge, always capping the least
     open edge, introducing fresh vertices in discovery order; completed
-    candidates are filtered through classify_surface and deduplicated.
+    candidates are filtered through classify_surface and deduplicated.  A
+    set fixes which of its triangles capped each edge, so it has exactly one
+    growth path and is reached at most once: no set is remembered.
     """
     if n_vertices < 4:
         return []
@@ -352,13 +354,9 @@ def enumerate_surfaces(n_vertices):
                                   requested=n_vertices, budget=10)
     seed = frozenset({(0, 1, 2), (0, 1, 3)})
     out = {}
-    memo = set()
     stack = [seed]
     while stack:
         tris = stack.pop()
-        if tris in memo:
-            continue
-        memo.add(tris)
         counts = Counter()
         used = set()
         for t in tris:

@@ -46,7 +46,9 @@ class CollapseSequence:
     claim is "collapsible" (down to one vertex), "collapse-to" (down to
     target_facets) or "endo-collapsible" (removed_facet taken out first, then
     down to the boundary of the starting complex, or to a vertex when that
-    boundary is empty).
+    boundary is empty).  target_facets belongs to collapse-to claims only and
+    is None for the other two: an endo goal follows from initial_facets, and
+    a replay recounts it from them.
     """
 
     initial_facets: tuple
@@ -282,7 +284,7 @@ def _search(engine, strategy, seed, seeds, max_nodes, removed=None):
     raise InvalidComplexError("unknown strategy %r" % (strategy,))
 
 
-def _finish(result, initial_facets, removed, claim, target_facets):
+def _finish(result, initial_facets, removed, claim, target_facets=None):
     if result.verdict == "yes":
         result.certificate = CollapseSequence(
             initial_facets=initial_facets,
@@ -314,7 +316,7 @@ def is_collapsible(complex, strategy="greedy", seed=0,
     if _chi(faces) != 1:
         return CollapseResult("no", "euler-obstruction")
     res = _search(_Engine(faces), strategy, seed, seeds, max_nodes)
-    return _finish(res, complex.facets, None, "collapsible", None)
+    return _finish(res, complex.facets, None, "collapsible")
 
 
 def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
@@ -330,7 +332,7 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
         raise InvalidComplexError("endo-collapsibility needs a pure complex")
     if len(complex.facets) == 1 and complex.dim == 0:
         return _finish(CollapseResult("yes", "single vertex", certificate=()),
-                       complex.facets, complex.facets[0], "endo-collapsible", None)
+                       complex.facets, complex.facets[0], "endo-collapsible")
 
     if facet is not None:
         sigma = face_tuple(facet)
@@ -343,7 +345,6 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
     bd = complex.boundary()
     faces = _closure(complex.facets)
     goal = _closure(bd.facets) if bd.facets else None
-    target_facets = bd.facets if bd.facets else None
     # every candidate has the top dimension, so all leave the same Euler number
     if _chi(faces) - (-1) ** complex.dim != (_chi(goal) if goal else 1):
         if len(candidates) == 1:
@@ -356,8 +357,7 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
     for sigma in candidates:
         res = _search(engine, strategy, seed, seeds, max_nodes, removed=sigma)
         if res.verdict == "yes":
-            return _finish(res, complex.facets, sigma, "endo-collapsible",
-                           target_facets)
+            return _finish(res, complex.facets, sigma, "endo-collapsible")
         if res.verdict == "unknown":
             saw_unknown = True
         last = res

@@ -306,24 +306,10 @@ class SimplicialComplex:
     # -- connectivity and duality ----------------------------------------
 
     def is_connected(self):
-        if not self.facets:
-            return True
-        seen = {self.facets[0][0]}
-        queue = [self.facets[0][0]]
-        adj = {}
-        for F in self.facets:
-            for v in F:
-                adj.setdefault(v, set()).update(F)
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n_vertices
+        return len(self._facet_groups()) <= 1
 
-    def connected_components(self):
-        """Split into vertex-connected pieces, each a complex."""
+    def _facet_groups(self):
+        """Facets of each vertex-connected piece, pieces by least vertex."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -339,9 +325,12 @@ class SimplicialComplex:
         groups = {}
         for F in self.facets:
             groups.setdefault(find(F[0]), []).append(F)
+        return [fs for _, fs in sorted(groups.items(), key=lambda kv: _vkey(kv[0]))]
+
+    def connected_components(self):
+        """Split into vertex-connected pieces, each a complex."""
         # each group is an in-order subset of the canonical facet tuple
-        return [SimplicialComplex._canonical(fs)
-                for _, fs in sorted(groups.items(), key=lambda kv: _vkey(kv[0]))]
+        return [SimplicialComplex._canonical(fs) for fs in self._facet_groups()]
 
     def dual_graph(self):
         """Facet adjacency across shared ridges.
@@ -395,9 +384,9 @@ class SimplicialComplex:
                 # compatible iff the ridge orientations induced by the
                 # positions of the omitted vertices cancel
                 i, j = ends
-                pi, pj = (next(p for p, v in enumerate(fs[k]) if v not in r)
-                          for k in ends)
-                rel = -((-1) ** (pi + pj))
+                (a,) = set(fs[i]).difference(r)
+                (b,) = set(fs[j]).difference(r)
+                rel = -((-1) ** (fs[i].index(a) + fs[j].index(b)))
                 adj[i].append((j, rel))
                 adj[j].append((i, rel))
         sign = {}

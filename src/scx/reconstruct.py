@@ -59,18 +59,20 @@ def rank_coloring(complex):
 
 def _try_ranks(complex, ranks):
     zero = {v for v, r in ranks.items() if r == 0}
-    nbrs = {v: set() for v in complex.vertices}
-    for e in complex.faces(1):
-        a, b = e
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+    # rank-0 neighbours, read off the facets; u itself counts only when its
+    # rank is 0, and then its face is (u,) anyway
+    below = {v: set() for v in complex.vertices}
+    for F in complex.facets:
+        zs = [v for v in F if v in zero]
+        for v in F:
+            below[v].update(zs)
     faces = {}
     seen = set()
     for u in complex.vertices:
         if ranks[u] == 0:
             fu = (u,)
         else:
-            fu = face_tuple(w for w in nbrs[u] if w in zero)
+            fu = face_tuple(below[u])
         if len(fu) != ranks[u] + 1 or fu in seen:
             return None
         seen.add(fu)

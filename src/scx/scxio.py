@@ -21,19 +21,34 @@ increasing labels, come in increasing order and never nest.  A file that
 passes those checks lists its facets in canonical form already, so the
 parser hands them straight to the complex without sorting them again.
 
+Integers must be spelled as the writer spells them: ASCII digits, no
+leading zero, underscore or "+", a "-" only on a negative number ("dim -1"
+heads the empty complex), single spaces or certificate-face commas between
+fields and nothing after the last.  Any other spelling is rejected with
+its field and line.
+
 Certificates use one line per step:
 
     remove 0 1 2            (at most once, first; endo-collapsible claims only)
     collapse 1,2 1,2,3      (free face, then its coface)
     claim endo-collapsible
     target 0 1              (collapse-to claims only, one facet per line)
+
+An endo-collapsible claim's goal, the boundary, is implied by the complex
+and never stored: its target_facets stays None.
 """
+
+import re
 
 from .collapse import CollapsePair, CollapseSequence
 from .complexes import SimplicialComplex, face_tuple
 from .errors import InvalidComplexError, ScxFormatError
 
 MAGIC = "scx 1"
+_INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
+_INT_FIELD = re.compile(_INT)
+_SPACED_INTS = re.compile("%s(?: %s)*" % (_INT, _INT))
+_COMMA_INTS = re.compile("%s(?:,%s)*" % (_INT, _INT))
 
 
 def _relabel_once(facets):
@@ -85,6 +100,9 @@ def _int_fields(parts, line_no):
             out.append(int(p))
         except ValueError:
             raise ScxFormatError("expected an integer, got %r" % p, line_no)
+    for p in parts:
+        if not _INT_FIELD.fullmatch(p):
+            raise ScxFormatError("non-canonical integer %r" % p, line_no)
     return out
 
 
@@ -106,6 +124,8 @@ def complex_from_text(text):
     dim = _header_value(lines, 1, "dim")
     n_vertices = _header_value(lines, 2, "vertices")
     n_facets = _header_value(lines, 3, "facets")
+    if n_vertices < 0:
+        raise ScxFormatError("negative vertex count %d" % n_vertices, 3)
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
@@ -116,9 +136,9 @@ def complex_from_text(text):
     for k in range(n_facets):
         line_no = 5 + k
         line = lines[4 + k]
-        try:
+        if _SPACED_INTS.fullmatch(line):
             f = tuple(map(int, line.split(" ")))
-        except ValueError:  # an empty or non-integer field
+        else:  # raises, naming the spacing or the first bad field
             f = tuple(_int_fields(_split_strict(line, line_no), line_no))
         for a, b in zip(f, f[1:]):
             if a >= b:
@@ -190,11 +210,11 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _parse_face(token, line_no, sep):
-    fields = token.split(sep)
-    try:
+def _parse_face(token, line_no):
+    fields = token.split(",")
+    if _COMMA_INTS.fullmatch(token):
         vs = tuple(sorted(map(int, fields)))
-    except ValueError:  # name the first bad field
+    else:  # raises, naming the first bad field
         vs = tuple(sorted(_int_fields(fields, line_no)))
     if len(set(vs)) != len(vs):
         try:
@@ -225,8 +245,8 @@ def certificate_from_text(text, complex):
                 raise ScxFormatError("collapse after claim", line_no)
             if len(parts) != 3:
                 raise ScxFormatError("collapse needs two faces", line_no)
-            pairs.append(CollapsePair(free=_parse_face(parts[1], line_no, ","),
-                                      coface=_parse_face(parts[2], line_no, ",")))
+            pairs.append(CollapsePair(free=_parse_face(parts[1], line_no),
+                                      coface=_parse_face(parts[2], line_no)))
         elif parts[0] == "claim":
             if claim is not None:
                 raise ScxFormatError("duplicate claim", line_no)
@@ -242,21 +262,12 @@ def certificate_from_text(text, complex):
             raise ScxFormatError("unknown directive %r" % parts[0], line_no)
     if claim is None:
         raise ScxFormatError("certificate has no claim line", len(lines) or 1)
-    target_facets = tuple(targets) if targets else None
-    if claim == "endo-collapsible":
-        # the goal of an endo collapse is the boundary, which is implied by
-        # the complex rather than stored in the file
-        try:
-            bd = complex.boundary()
-            target_facets = bd.facets if bd.facets else None
-        except InvalidComplexError:
-            target_facets = None
     return CollapseSequence(
         initial_facets=complex.facets,
         removed_facet=removed,
         pairs=tuple(pairs),
         claim=claim,
-        target_facets=target_facets,
+        target_facets=tuple(targets) if targets else None,
     )
 
 

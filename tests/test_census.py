@@ -357,6 +357,22 @@ def test_surface_census_known_anchors():
                     and s.classify_surface().cross_caps == 2) for s in seven)
 
 
+def test_eight_vertex_surfaces_by_type():
+    # Sulanke-Lutz (arXiv:math/0610022), 8 vertices: 14 spheres, 7 tori,
+    # 16 projective planes and 6 Klein bottles; no other type fits on 8
+    # vertices.  The growth keeps no memo of visited triangle sets, so this
+    # pins what it must still find.
+    eight = enumerate_surfaces(8)
+    types = Counter()
+    for s in eight:
+        sc = s.classify_surface()
+        assert sc.kind == "closed-surface" and s.n_vertices == 8
+        assert sc.euler_characteristic == 8 - len(s.facets) // 2
+        types[(sc.orientable, sc.genus if sc.orientable else sc.cross_caps)] += 1
+    assert types == {(True, 0): 14, (True, 1): 7, (False, 1): 16, (False, 2): 6}
+    assert len(eight) == 43
+
+
 def test_disk_counts_match_raw_oracle():
     levels = enumerate_disks(5)
     for t in range(1, 6):

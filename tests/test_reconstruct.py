@@ -24,6 +24,21 @@ def unwrap(complex):
     return complex.relabel({(v,): v for (v,) in complex.vertices})
 
 
+def test_reconstruct_fills_no_face_cache(monkeypatch):
+    # neighbours come from the facets: no closure of the input, or of its
+    # connected pieces, is expanded
+    K = sd(full_simplex(2)).complex
+    assert unwrap(reconstruct(K)).facets == full_simplex(2).facets
+    assert K._faces is None and K._by_dim is None
+
+    def refuse(self, dim=None):
+        raise AssertionError("reconstruct expanded a face closure")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+    for T in (full_simplex(3), simplex_boundary(3)):
+        assert unwrap(reconstruct(sd(T).complex)).facets == T.facets
+
+
 def test_roundtrip_triangle():
     T = full_simplex(3)
     K = sd(T).complex

@@ -119,6 +119,12 @@ def test_parser_rejects_count_and_label_mismatches():
     assert "0..1" in str(e)
     e = bad("scx 1\ndim 2\nvertices 2\nfacets 1\n0 1\n", 2)
     assert "declared dim" in str(e)
+    e = bad("scx 1\ndim -1\nvertices -1\nfacets 0\n", 3)
+    assert str(e) == "line 3: negative vertex count -1"
+    # a negative label is spelled as the writer would spell it; the label
+    # range check rejects it
+    e = bad("scx 1\ndim 1\nvertices 2\nfacets 1\n-1 0\n", 4)
+    assert str(e) == "line 4: vertex labels must be exactly 0..1"
 
 
 def test_error_message_carries_line_number():
@@ -190,6 +196,70 @@ def test_certificate_face_rejections_name_the_line():
             certificate_from_text(head + line + "\nclaim endo-collapsible\n",
                                   DISK2)
         assert str(e.value) == "line 3: " + message
+
+
+# spellings that int() reads as 2 or 0 but the writer never emits
+LENIENT = (("+2", "2"), ("02", "2"), ("0_2", "2"), ("\u0662", "2"),
+           ("2\t", "2"), ("2\r", "2"), ("-0", "0"))
+
+
+def respellings(text, canonical, spelled):
+    """Copies of text with one integer field equal to `canonical` spelled
+    otherwise, each with the number of the changed line."""
+    lines = text.split("\n")
+    for k, line in enumerate(lines):
+        words = line.split(" ")
+        for w, word in enumerate(words):
+            fields = word.split(",")
+            for f, field in enumerate(fields):
+                if field == canonical:
+                    word2 = ",".join(fields[:f] + [spelled] + fields[f + 1:])
+                    line2 = " ".join(words[:w] + [word2] + words[w + 1:])
+                    yield "\n".join(lines[:k] + [line2] + lines[k + 1:]), k + 1
+
+
+def test_readers_reject_integers_the_writer_never_spells():
+    texts = ("scx 1\ndim 2\nvertices 3\nfacets 1\n0 1 2\n",
+             "scx 1\ndim -1\nvertices 0\nfacets 0\n")
+    certs = ("remove 0 1 2\ncollapse 1,2 1,2,3\nclaim endo-collapsible\n",
+             "claim collapse-to\ntarget 0 1\ntarget 1 2\n")
+    n = 0
+    for spelled, canonical in LENIENT:
+        want = "non-canonical integer %r" % spelled
+        for text in texts:
+            complex_from_text(text)
+            for variant, line_no in respellings(text, canonical, spelled):
+                assert str(bad(variant, line_no)) == "line %d: %s" % (line_no, want)
+                n += 1
+        for text in certs:
+            certificate_from_text(text, DISK2)
+            for variant, line_no in respellings(text, canonical, spelled):
+                with pytest.raises(ScxFormatError) as e:
+                    certificate_from_text(variant, DISK2)
+                assert str(e.value) == "line %d: %s" % (line_no, want)
+                n += 1
+    # per spelling of 2: the dim header, a facet line, remove, both faces of
+    # collapse, target; per spelling of 0: a facet line, both count
+    # headers, remove, target
+    assert n == 6 * 6 + 5
+
+
+def test_endo_certificates_store_no_target(monkeypatch):
+    # the goal of an endo claim is the boundary, implied by the complex:
+    # neither the search nor the parser keeps it, and the parser never
+    # computes it
+    res = is_endo_collapsible(DISK2)
+    assert res.verdict == "yes" and res.certificate.target_facets is None
+    text = certificate_to_text(res.certificate)
+
+    def refuse(self):
+        raise AssertionError("the parser computed the boundary")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary", refuse)
+    cert = certificate_from_text(text, DISK2)
+    assert cert.target_facets is None and cert == res.certificate
+    monkeypatch.undo()
+    assert verify_certificate(cert, DISK2) == (True, "collapsed onto the boundary")
 
 
 # -- round trips under Hypothesis ----------------------------------------------
