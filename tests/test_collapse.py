@@ -116,6 +116,19 @@ def test_budget_gives_unknown():
     assert "budget" in res.reason
 
 
+def test_exhaustive_search_restores_the_recursion_limit():
+    # 673 faces: deep enough that a recursive search would need a higher
+    # limit; the iterative search never changes it
+    disk = sd_k(full_simplex(2), 3).complex
+    before = sys.getrecursionlimit()
+    assert is_collapsible(disk, strategy="exhaustive", max_nodes=50).verdict \
+        == "unknown"
+    assert sys.getrecursionlimit() == before
+    res = is_collapsible(disk, strategy="exhaustive")
+    assert res.verdict == "yes" and verify_certificate(res.certificate, disk)[0]
+    assert sys.getrecursionlimit() == before
+
+
 def test_greedy_is_deterministic_per_seed():
     a = is_collapsible(full_simplex(3), seed=5)
     b = is_collapsible(full_simplex(3), seed=5)
@@ -256,26 +269,20 @@ def test_endo_search_scales_linearly_on_tuple_labels():
 
 
 def test_exhaustive_search_leaves_the_recursion_limit_alone(monkeypatch):
-    # a raising setter catches a search that sets the limit; comparing the
-    # limit before and after catches one that changes it by any other route
     def refuse(limit):
         raise AssertionError("the search set the recursion limit to %d" % limit)
 
-    before = sys.getrecursionlimit()
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     disk = sd_k(full_simplex(2), 3).complex  # 673 faces
     res = is_collapsible(disk, strategy="exhaustive")
     assert res.verdict == "yes" and verify_certificate(res.certificate, disk)[0]
-    assert sys.getrecursionlimit() == before
     assert is_collapsible(disk, strategy="exhaustive", max_nodes=50).verdict \
         == "unknown"
-    assert sys.getrecursionlimit() == before
     # 1968 moves deep, past the interpreter's default limit of 1000 frames
     disk = sd_k(full_simplex(2), 4).complex
     res = is_collapsible(disk, strategy="exhaustive")
     assert res.verdict == "yes" and len(res.certificate.pairs) > 1000
     assert verify_certificate(res.certificate, disk)[0]
-    assert sys.getrecursionlimit() == before
 
 
 def test_one_engine_per_search_and_no_face_cache(monkeypatch):
