@@ -3,12 +3,14 @@
 The pseudomanifold fast paths all exploit the same fact: once an ordered
 facet correspondence is fixed, walking the dual graph forces the rest of the
 vertex identification, because crossing a shared ridge determines the image
-of the opposite vertex.  determine_gluing implements that walk and iso drives
-it over all ordered seed facets.  canonical_label walks from every flag (a
-facet and an order of its vertices), numbering vertices as it meets them, and
-keeps the smallest walk code, each facet's sorted labels in the order reached;
-a walk stops at its first entry above the best code's.  The code depends only
-on the flag up to isomorphism and lists every facet: a canonical form.
+of the opposite vertex, which each walk reads off the ridge index.
+determine_gluing walks from one ordered seed facet.  canonical_label walks
+from every flag (a facet and an order of its vertices), numbering vertices
+as it meets them, and keeps the smallest walk code, each facet's sorted
+labels in the order reached; a walk stops at its first entry above the best
+code's.  The code depends only on the flag up to isomorphism and lists every
+facet: a canonical form.  So iso compares b's flags, in order, against one
+walk from a's first facet; the first tie fixes the isomorphism.
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
@@ -21,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, face_tuple, _fkey
-from .collapse import is_endo_collapsible
+from .collapse import _overall_verdict, is_endo_collapsible
 from .errors import BudgetExceededError, InvalidComplexError
 
 
@@ -71,38 +73,29 @@ def determine_gluing(a, b, seed):
         if not c.dual_graph().pseudomanifold:
             raise InvalidComplexError(
                 "%s complex is not a pseudomanifold" % name)
-    return _glue(a, b, fa, ordered)
-
-
-def _glue(a, b, fa, ordered):
-    """determine_gluing's walk, for a seed and complexes already checked."""
-    ridges_a = a._incidence()[1]
-    ridges_b = b._incidence()[1]
+    fs_a, fs_b = a.facets, b.facets
+    across_a = a._across()
+    # per facet of b: facing vertex -> (neighbour, its vertex facing the ridge)
+    across_b = [{G[p]: (k, fs_b[k][q]) for p, k, q in row}
+                for G, row in zip(fs_b, b._across())]
     mapping = dict(zip(fa, ordered))
     inverse = {w: v for v, w in mapping.items()}
-    facet_image = {fa: face_tuple(ordered)}
-    queue = deque([fa])
+    start = fs_a.index(fa)
+    image = {start: fs_b.index(gb)}
+    queue = deque([start])
     while queue:
-        F = queue.popleft()
-        G = facet_image[F]
-        for pos in range(len(F)):
-            r = F[:pos] + F[pos + 1:]
-            across = [X for X in (a.facets[i] for i in ridges_a[r]) if X != F]
-            if not across:
-                continue
-            F2 = across[0]
-            r_img = face_tuple(mapping[x] for x in r)
-            others = [H for H in (b.facets[i] for i in ridges_b.get(r_img, ()))
-                      if H != G]
-            if not others:
+        i = queue.popleft()
+        F = fs_a[i]
+        for p, j, q in sorted(across_a[i]):  # the ridges of F in order
+            nb = across_b[image[i]].get(mapping[F[p]])
+            if nb is None:
                 continue  # one-sided in b: the overlap stops here
-            H = others[0]
-            if F2 in facet_image:
-                if facet_image[F2] != H:
+            k, apex_b = nb
+            if j in image:
+                if image[j] != k:
                     return None
                 continue
-            apex_a = next(x for x in F2 if x not in r)
-            apex_b = next(x for x in H if x not in r_img)
+            apex_a = fs_a[j][q]
             if apex_a in mapping:
                 if mapping[apex_a] != apex_b:
                     return None
@@ -111,8 +104,8 @@ def _glue(a, b, fa, ordered):
             else:
                 mapping[apex_a] = apex_b
                 inverse[apex_b] = apex_a
-            facet_image[F2] = H
-            queue.append(F2)
+            image[j] = k
+            queue.append(j)
     return mapping
 
 
@@ -133,10 +126,14 @@ def _screens(complex):
     )
 
 
-def _pm_dual_graph(complex):
-    """Dual graph of a connected pure pseudomanifold of dimension >= 1, else None."""
+def _connected_pm(complex):
+    """Whether complex is a connected pure pseudomanifold of dimension >= 1."""
     dg = complex.is_pure() and complex.dim >= 1 and complex.dual_graph()
-    return dg if dg and dg.pseudomanifold and dg.connected else None
+    return bool(dg) and dg.pseudomanifold and dg.connected
+
+
+def _certificate(mapping):
+    return IsoCertificate(tuple(sorted(mapping.items(), key=_fkey)))
 
 
 def iso(a, b, max_nodes=10 ** 6):
@@ -145,10 +142,8 @@ def iso(a, b, max_nodes=10 ** 6):
     if _screens(a) != _screens(b):
         return None
     if a.facets == b.facets:
-        return IsoCertificate(tuple(sorted(((v, v) for v in a.vertices),
-                                           key=lambda p: _fkey(p))))
+        return _certificate({v: v for v in a.vertices})
 
-    bfacets = set(b.facets)
     nodes = 0
 
     def tick():
@@ -158,20 +153,24 @@ def iso(a, b, max_nodes=10 ** 6):
             raise BudgetExceededError("isomorphism search exceeded %d nodes"
                                       % max_nodes, budget=max_nodes)
 
-    if _pm_dual_graph(a) is not None and _pm_dual_graph(b) is not None:
-        f0 = a.facets[0]
-        for g in b.facets:
-            for perm in itertools.permutations(g):
+    if _connected_pm(a) and _connected_pm(b):
+        # a flag fixes the isomorphism: b's first flag whose walk code ties
+        # that of a's first facet in its own order is the answer
+        va, vb = a.vertices, b.vertices
+        fa, ta = _walk_table(a, {v: i for i, v in enumerate(va)})
+        code, label_a, _ = _canon_walk(fa, ta, 0, fa[0], None)
+        fb, tb = _walk_table(b, {v: i for i, v in enumerate(vb)})
+        for start, G in enumerate(fb):
+            for perm in itertools.permutations(G):
                 tick()
-                m = _glue(a, b, f0, perm)
-                if m is None or len(m) != a.n_vertices:
-                    continue
-                mapped = {face_tuple(m[v] for v in F) for F in a.facets}
-                if mapped == bfacets:
-                    return IsoCertificate(tuple(sorted(m.items(), key=lambda p: _fkey(p))))
+                run = _canon_walk(fb, tb, start, perm, code)
+                if run is not None and run[2]:
+                    at = {l: vb[j] for j, l in run[1].items()}
+                    return _certificate({va[i]: at[l] for i, l in label_a.items()})
         return None
 
     # general backtracking over signature-compatible vertex images
+    bfacets = set(b.facets)
     sig_a = _vertex_signature(a)
     sig_b = _vertex_signature(b)
     pool = {}
@@ -196,41 +195,48 @@ def iso(a, b, max_nodes=10 ** 6):
                     return False
         return True
 
-    def rec(i):
-        if i == len(order):
-            mapped = {face_tuple(assignment[v] for v in F) for F in a.facets}
-            return mapped == bfacets
+    def images(v):
         tick()
-        v = order[i]
-        for w in pool.get(sig_a[v], ()):
-            if w in used:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if feasible(v) and rec(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
+        return iter(pool.get(sig_a[v], ()))
 
-    if rec(0):
-        return IsoCertificate(tuple(sorted(assignment.items(), key=lambda p: _fkey(p))))
+    # depth-first over order, one iterator of candidate images per level
+    stack = [images(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in assignment:  # back from a level that failed
+            used.discard(assignment.pop(v))
+        for w in stack[-1]:
+            if w not in used:
+                assignment[v] = w
+                if feasible(v):
+                    used.add(w)
+                    break
+        else:
+            assignment.pop(v, None)
+            stack.pop()
+            continue
+        if len(stack) < len(order):
+            stack.append(images(order[len(stack)]))
+        elif {face_tuple(assignment[u] for u in F) for F in a.facets} == bfacets:
+            return _certificate(assignment)
     return None
 
 
-def _walk_table(dg, index):
+def _walk_table(complex, index):
     """Facets as vertex indices, and per facet (facing vertex, neighbour, apex)
-    for each neighbour: the vertices opposite their shared ridge."""
-    facets = [[index[v] for v in F] for F in dg.facets]
-    table = [[(*set(F).difference(facets[j]), j, *set(facets[j]).difference(F))
-              for j in nbrs] for F, nbrs in zip(facets, dg.adjacency)]
+    for each neighbour, read off the ridge index: apex is the neighbour's
+    vertex opposite the shared ridge."""
+    facets = [[index[v] for v in F] for F in complex.facets]
+    table = [[(F[p], j, facets[j][q]) for p, j, q in row]
+             for F, row in zip(facets, complex._across())]
     return facets, table
 
 
 def _canon_walk(facets, table, start, perm, best):
-    """Walk code and labels of one flag; None once the code exceeds best, or
-    ties it.  Neighbours go in the label order of the shared ridges, which is
-    the descending label order of the facing vertices."""
+    """Walk code and labels of one flag, and whether the code ties best;
+    None once the code exceeds best.  Neighbours go in the label order of
+    the shared ridges, which is the descending label order of the facing
+    vertices."""
     label = {v: i for i, v in enumerate(perm)}
     nxt = len(perm)
     placed = {start}
@@ -254,7 +260,7 @@ def _canon_walk(facets, table, start, perm, best):
                     return None
                 tied = entry == best[len(code)]
             code.append(entry)
-    return None if tied else (code, label)
+    return code, label, tied
 
 
 def canonical_label(complex, budget=10 ** 6):
@@ -270,20 +276,19 @@ def canonical_label(complex, budget=10 ** 6):
     """
     if not complex.facets:
         return complex, {}
-    dg = _pm_dual_graph(complex)
-    if dg is not None:
-        n_flags = len(dg.facets) * math.factorial(complex.dim + 1)
+    if _connected_pm(complex):
+        n_flags = len(complex.facets) * math.factorial(complex.dim + 1)
         if n_flags > budget:
             raise BudgetExceededError("canonical labeling needs %d walks (budget %d)"
                                       % (n_flags, budget), requested=n_flags, budget=budget)
         vertices = complex.vertices
-        facets, table = _walk_table(dg, {v: i for i, v in enumerate(vertices)})
+        facets, table = _walk_table(complex, {v: i for i, v in enumerate(vertices)})
         best = best_label = None
         for start, F in enumerate(facets):
             for perm in itertools.permutations(F):
                 run = _canon_walk(facets, table, start, perm, best)
-                if run is not None:
-                    best, best_label = run
+                if run is not None and not run[2]:
+                    best, best_label, _ = run
         return SimplicialComplex(best), {v: best_label[i] for i, v in enumerate(vertices)}
 
     # color refinement on the "shares a face" graph
@@ -469,17 +474,10 @@ def census(max_vertices, seeds=16, max_nodes=10 ** 5):
             genus = sc.genus if sc.orientable else sc.cross_caps
             groups.setdefault((sc.orientable, genus), []).append(s)
         for (orientable, genus), members in sorted(groups.items()):
-            verdicts = set()
-            for m in members:
-                res = is_endo_collapsible(m, strategy="auto", seeds=seeds,
-                                          max_nodes=max_nodes)
-                verdicts.add(res.verdict)
-            if verdicts <= {"yes"}:
-                endo = "yes"
-            elif "no" in verdicts:
-                endo = "no"
-            else:
-                endo = "unknown"
+            endo = _overall_verdict(
+                is_endo_collapsible(m, strategy="auto", seeds=seeds,
+                                    max_nodes=max_nodes).verdict
+                for m in members)
             min_facets = min(len(m.facets) for m in members)
             rows.append(CensusRow(
                 n_vertices=n, orientable=orientable, genus=genus,

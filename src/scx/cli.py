@@ -76,18 +76,15 @@ def cmd_validate(args):
     print("pseudomanifold %s" % ("yes" if dg.pseudomanifold else "no"))
     print("connected %s" % ("yes" if dg.connected else "no"))
     print("euler %d" % C.euler_characteristic())
-    try:
-        sc = C.classify_surface()
-        line = "surface %s" % sc.kind
-        if sc.kind == "closed-surface":
-            line += " orientable=%s genus=%s" % (
-                "yes" if sc.orientable else "no",
-                sc.genus if sc.orientable else sc.cross_caps)
-        elif sc.kind == "surface-with-boundary":
-            line += " genus=%s boundary=%d" % (sc.genus, sc.boundary_components)
-        print(line)
-    except InvalidComplexError:
-        print("surface not-applicable")
+    sc = C.classify_surface()
+    line = "surface %s" % sc.kind
+    if sc.kind == "closed-surface":
+        line += " orientable=%s genus=%s" % (
+            "yes" if sc.orientable else "no",
+            sc.genus if sc.orientable else sc.cross_caps)
+    elif sc.kind == "surface-with-boundary":
+        line += " genus=%s boundary=%d" % (sc.genus, sc.boundary_components)
+    print(line)
     return 0
 
 

@@ -369,6 +369,14 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
     return CollapseResult("no", "all %d facets refuted" % len(candidates))
 
 
+def _overall_verdict(verdicts):
+    """"yes" when every verdict is, else "no" when any is, else "unknown"."""
+    verdicts = set(verdicts)
+    if verdicts <= {"yes"}:
+        return "yes"
+    return "no" if "no" in verdicts else "unknown"
+
+
 @dataclass
 class EndoReport:
     """Per-face endo-collapsibility of subdivided links, plus the direct check.
@@ -402,13 +410,7 @@ def sd_endo_collapsibility_report(complex, strategy="auto", seed=0,
         res = is_endo_collapsible(sd(lk).complex, strategy=strategy, seed=seed,
                                   seeds=seeds, max_nodes=max_nodes)
         rows.append((f, res.verdict, res.reason))
-    verdicts = {v for _, v, _ in rows}
-    if verdicts <= {"yes"}:
-        agg = "yes"
-    elif "no" in verdicts:
-        agg = "no"
-    else:
-        agg = "unknown"
+    agg = _overall_verdict(v for _, v, _ in rows)
     conclusion = is_endo_collapsible(sd(complex).complex, strategy=strategy,
                                      seed=seed, seeds=seeds,
                                      max_nodes=max_nodes)

@@ -72,12 +72,14 @@ def _closure(facets):
 
 
 def _ridge_map(facets):
-    """Ridge -> indices of the facets containing it (facets of dimension >= 1)."""
+    """Ridge -> (facet index, position of the vertex facing the ridge) for
+    each facet containing it (facets of dimension >= 1): the one place that
+    knows which vertex faces a ridge."""
     ridges = {}
     for i, F in enumerate(facets):
         if len(F) > 1:
             for pos in range(len(F)):
-                ridges.setdefault(F[:pos] + F[pos + 1:], []).append(i)
+                ridges.setdefault(F[:pos] + F[pos + 1:], []).append((i, pos))
     return ridges
 
 
@@ -196,7 +198,7 @@ class SimplicialComplex:
         return len({len(F) for F in self.facets}) <= 1
 
     def _incidence(self):
-        """(vertex -> facet indices, ridge -> facet indices), cached; read-only."""
+        """(vertex -> facet indices, the ridge map), cached; read-only."""
         if self._index is None:
             stars = {}
             for i, F in enumerate(self.facets):
@@ -204,6 +206,15 @@ class SimplicialComplex:
                     stars.setdefault(v, []).append(i)
             self._index = (stars, _ridge_map(self.facets))
         return self._index
+
+    def _across(self):
+        """Per facet, (position, neighbour, neighbour's position) for each facet
+        sharing the ridge its vertex at position faces; built on each call."""
+        out = [[] for _ in self.facets]
+        for ends in self._incidence()[1].values():
+            for (i, p), (j, q) in itertools.permutations(ends, 2):
+                out[i].append((p, j, q))
+        return out
 
     def facets_containing(self, sigma):
         s, fs = face_tuple(sigma), self.facets
@@ -339,31 +350,19 @@ class SimplicialComplex:
         facets; ridges only count for facets of dimension >= 1.
         """
         fs = self.facets
-        adj = [set() for _ in fs]
-        pm = self.is_pure() and bool(fs)
-        for idxs in self._incidence()[1].values():
-            if len(idxs) > 2:
-                pm = False
-            for a, b in itertools.combinations(idxs, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        connected = True
-        if fs:
-            seen = {0}
-            queue = [0]
-            while queue:
-                i = queue.pop()
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-            connected = len(seen) == len(fs)
-        return DualGraph(
-            facets=fs,
-            adjacency=tuple(tuple(sorted(s)) for s in adj),
-            pseudomanifold=pm,
-            connected=connected,
-        )
+        pm = (self.is_pure() and bool(fs)
+              and all(len(e) <= 2 for e in self._incidence()[1].values()))
+        # two facets share at most one ridge, so no neighbour repeats
+        adj = [tuple(sorted(j for _, j, _ in row)) for row in self._across()]
+        reached = [0] if fs else []
+        seen = set(reached)
+        for i in reached:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    reached.append(j)
+        return DualGraph(facets=fs, adjacency=tuple(adj), pseudomanifold=pm,
+                         connected=len(seen) == len(fs))
 
     def orientation(self):
         """Compatible facet signs, or None when no such assignment exists.
@@ -374,21 +373,9 @@ class SimplicialComplex:
         if not self.is_pure():
             raise InvalidComplexError("orientation needs a pure complex")
         fs = self.facets
-        if fs and len(fs[0]) < 2:
-            return {F: 1 for F in fs}
-        adj = {i: [] for i in range(len(fs))}
-        for r, ends in self._incidence()[1].items():
-            if len(ends) > 2:
-                return None
-            if len(ends) == 2:
-                # compatible iff the ridge orientations induced by the
-                # positions of the omitted vertices cancel
-                i, j = ends
-                (a,) = set(fs[i]).difference(r)
-                (b,) = set(fs[j]).difference(r)
-                rel = -((-1) ** (fs[i].index(a) + fs[j].index(b)))
-                adj[i].append((j, rel))
-                adj[j].append((i, rel))
+        if any(len(ends) > 2 for ends in self._incidence()[1].values()):
+            return None
+        across = self._across()
         sign = {}
         for start in range(len(fs)):
             if start in sign:
@@ -397,8 +384,10 @@ class SimplicialComplex:
             queue = [start]
             while queue:
                 i = queue.pop()
-                for j, rel in adj[i]:
-                    want = sign[i] * rel
+                for p, j, q in across[i]:
+                    # compatible iff the ridge orientations induced by the
+                    # positions of the facing vertices cancel
+                    want = -sign[i] * (-1) ** (p + q)
                     if j not in sign:
                         sign[j] = want
                         queue.append(j)

@@ -3,51 +3,99 @@
 If a complex K is the derived subdivision of some T with the chain labels
 forgotten, every vertex of K stands for a face of T and carries a well
 defined rank (the dimension of that face).  Each facet of K is a maximal
-chain, so its vertices carry ranks 0..L-1 bijectively.  Rank recovery is
-therefore a constraint problem over the facets, and once ranks are known the
-rest is forced: the rank-0 vertices are the vertices of T, and the face of T
-behind a vertex u is exactly the set of rank-0 neighbors of u (every vertex
-of a face is joined to its barycenter chain vertex inside some chain).
-
-Every recovered candidate is verified by rebuilding the subdivision and
-translating it back through the vertex correspondence; only an exact facet
-set match is accepted, so a wrong rank solution can never leak through.
+chain, so its vertices carry ranks 0..L-1 bijectively, and the two vertices
+facing a shared ridge carry the same rank: the ranks of a seed facet fix
+those of its ridge-connected piece.  Rank recovery searches seed orderings
+piece by piece, on an explicit stack.  The rank-0 vertices are those of T,
+and the face of T behind a vertex u is the set of rank-0 neighbors of u.
+reconstruct keeps a piece's ranks only if each of its vertices has rank + 1
+rank-0 neighbors inside it, as in any sd(T): a chain through the barycenter
+of a face lies in sd(F) for a facet F of T, and sd(F) in one piece.  A
+candidate T is accepted only when the chains of sd(T), translated through
+the vertex correspondence, are the facets of K.
 """
 
 import itertools
 
-from .complexes import SimplicialComplex, _maximal, face_tuple
+from .complexes import SimplicialComplex, _maximal
 from .errors import NotDerivedSubdivisionError
-from .subdivision import sd
+
+
+def _rank0_neighbours(facets, ranks):
+    """Vertex -> the rank-0 vertices sharing one of the facets with it."""
+    below = {}
+    for F in facets:
+        for z in F:  # stops at the facet's rank-0 vertex
+            if not ranks[z]:
+                break
+        for v in F:
+            below.setdefault(v, set()).add(z)
+    return below
+
+
+def _rankings(complex, strict):
+    """rank_colorings' assignments in the same order; with strict, only
+    those whose every piece passes the rank-0 neighbour count."""
+    fs = complex.facets
+    across = complex._across()
+    # ridge-connected pieces by least facet: their facets, seed first, and
+    # the pairs of vertices facing a ridge that reach each other facet
+    pieces, seen = [], set()
+    for s in range(len(fs)):
+        if s not in seen:
+            seen.add(s)
+            order, links = [s], []
+            for i in order:
+                for p, j, q in across[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        order.append(j)
+                        links.append((fs[i][p], fs[j][q]))
+            pieces.append((order, links))
+    ranks = {}
+
+    def seeds(k):
+        # one yield per seed ordering the piece accepts; the piece's ranks
+        # stay in place until the generator resumes
+        order, links = pieces[k]
+        free = [v for v in fs[order[0]] if v not in ranks]
+        need = set(range(len(fs[order[0]]))).difference(
+            ranks[v] for v in fs[order[0]] if v in ranks)
+        if len(need) != len(free):
+            return  # a rank already on the seed repeats or is too large
+        for perm in itertools.permutations(sorted(need)):
+            ranks.update(zip(free, perm))
+            added = list(free)
+            for x, y in links:
+                if y not in ranks:
+                    ranks[y] = ranks[x]
+                    added.append(y)
+                elif ranks[y] != ranks[x]:
+                    break
+            else:
+                if not strict or all(
+                        len(zs) == ranks[v] + 1 for v, zs in
+                        _rank0_neighbours((fs[i] for i in order), ranks).items()):
+                    yield True
+            for v in added:
+                del ranks[v]
+
+    stack = []
+    while True:
+        if len(stack) == len(pieces):
+            yield dict(ranks)
+        else:
+            stack.append(seeds(len(stack)))
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            return
 
 
 def rank_colorings(complex):
-    """Yield every rank assignment giving each facet the ranks 0..L-1."""
-    facets = list(complex.facets)
-    ranks = {}
-
-    def rec(i):
-        if i == len(facets):
-            yield dict(ranks)
-            return
-        F = facets[i]
-        need = set(range(len(F)))
-        free = []
-        for v in F:
-            if v in ranks:
-                if ranks[v] not in need:
-                    return
-                need.discard(ranks[v])
-            else:
-                free.append(v)
-        for perm in itertools.permutations(sorted(need)):
-            for v, r in zip(free, perm):
-                ranks[v] = r
-            yield from rec(i + 1)
-            for v in free:
-                del ranks[v]
-
-    yield from rec(0)
+    """Yield every rank assignment giving each facet the ranks 0..L-1, in the
+    order of a facet-by-facet search over the sorted facets."""
+    return _rankings(complex, False)
 
 
 def rank_coloring(complex):
@@ -58,43 +106,24 @@ def rank_coloring(complex):
 
 
 def _try_ranks(complex, ranks):
-    zero = {v for v, r in ranks.items() if r == 0}
-    # rank-0 neighbours, read off the facets; u itself counts only when its
-    # rank is 0, and then its face is (u,) anyway
-    below = {v: set() for v in complex.vertices}
-    for F in complex.facets:
-        zs = [v for v in F if v in zero]
-        for v in F:
-            below[v].update(zs)
-    faces = {}
-    seen = set()
-    for u in complex.vertices:
-        if ranks[u] == 0:
-            fu = (u,)
-        else:
-            fu = face_tuple(below[u])
-        if len(fu) != ranks[u] + 1 or fu in seen:
+    """Facets, as sets, of the T with sd(T) = complex under ranks, or None."""
+    back = {}  # face of the candidate -> the vertex standing for it
+    for u, zs in _rank0_neighbours(complex.facets, ranks).items():
+        fu = frozenset(zs)
+        if len(fu) != ranks[u] + 1 or fu in back:
             return None
-        seen.add(fu)
-        faces[u] = fu
-    candidate = SimplicialComplex(_maximal(list(faces.values())))
-    back = {f: u for u, f in faces.items()}
-    translated = set()
-    for chain in sd(candidate).complex.facets:
-        try:
-            translated.add(face_tuple(back[c] for c in chain))
-        except KeyError:
+        back[fu] = u
+    top = _maximal(back)
+    # the maximal chains of sd(candidate) ending at each face, translated
+    # through back: those of its subfaces one dimension down, extended
+    chains = {}
+    for fu in sorted(back, key=len):
+        subs = [chains.get(fu - {v}) for v in fu] if len(fu) > 1 else [[()]]
+        if None in subs:
             return None
-    if translated != set(complex.facets):
-        return None
-    return candidate
-
-
-def _reconstruct_connected(complex):
-    for ranks in rank_colorings(complex):
-        got = _try_ranks(complex, ranks)
-        if got is not None:
-            return got
+        chains[fu] = [c + (back[fu],) for cs in subs for c in cs]
+    if {frozenset(c) for F in top for c in chains[F]} == set(map(frozenset, complex.facets)):
+        return top
     return None
 
 
@@ -108,9 +137,10 @@ def reconstruct(complex):
         return SimplicialComplex()
     pieces = []
     for part in complex.connected_components():
-        got = _reconstruct_connected(part)
+        tries = (_try_ranks(part, ranks) for ranks in _rankings(part, True))
+        got = next(filter(None, tries), None)
         if got is None:
             raise NotDerivedSubdivisionError(
                 "no rank structure of a derived subdivision fits")
-        pieces.extend(got.facets)
+        pieces.extend(got)
     return SimplicialComplex(pieces)

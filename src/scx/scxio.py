@@ -17,9 +17,10 @@ smallest state of the cycle is used.  Rewriting a written file is therefore
 byte-identical.
 
 Reading is strict in the same way: facet lines must hold strictly
-increasing labels, come in increasing order and never nest.  A file that
-passes those checks lists its facets in canonical form already, so the
-parser hands them straight to the complex without sorting them again.
+increasing labels, come in increasing order and never nest, and the last
+line ends with a newline.  A file that passes those checks lists its facets
+in canonical form already, so the parser hands them straight to the complex
+without sorting them again.
 
 Integers must be spelled as the writer spells them: ASCII digits, no
 leading zero, underscore or "+", a "-" only on a negative number ("dim -1"
@@ -47,7 +48,7 @@ from .errors import InvalidComplexError, ScxFormatError
 MAGIC = "scx 1"
 _INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
-_SPACED_INTS = re.compile("%s(?: %s)*" % (_INT, _INT))
+_FACET_BLOCK = re.compile("(?:%s(?: %s)*\n)*" % (_INT, _INT))
 _COMMA_INTS = re.compile("%s(?:,%s)*" % (_INT, _INT))
 
 
@@ -129,6 +130,9 @@ def complex_from_text(text):
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
+    # one match spells every facet line; only if it fails is each line checked
+    # alone, so that the error names the line
+    spelled = _FACET_BLOCK.fullmatch(text, sum(len(line) + 1 for line in lines[:4]))
     facets = []
     # vertex -> indices of the earlier facets containing it; two distinct
     # facets of one size cannot nest, so it is kept only if sizes differ
@@ -136,10 +140,8 @@ def complex_from_text(text):
     for k in range(n_facets):
         line_no = 5 + k
         line = lines[4 + k]
-        if _SPACED_INTS.fullmatch(line):
-            f = tuple(map(int, line.split(" ")))
-        else:  # raises, naming the spacing or the first bad field
-            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
+        f = tuple(map(int, line.split(" ")) if spelled
+                  else _int_fields(_split_strict(line, line_no), line_no))
         for a, b in zip(f, f[1:]):
             if a >= b:
                 raise ScxFormatError("facet vertices must be strictly increasing",
@@ -167,6 +169,8 @@ def complex_from_text(text):
     if got_dim != dim:
         raise ScxFormatError("declared dim %d but facets have dim %d"
                              % (dim, got_dim), 2)
+    if not text.endswith("\n"):  # the writer ends every line with one
+        raise ScxFormatError("missing final newline", len(lines))
     # distinct, strictly increasing, unnested and in increasing order: the
     # int facets are canonical as they stand
     return SimplicialComplex._canonical(facets)

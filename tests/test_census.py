@@ -294,6 +294,48 @@ def test_canonical_form_sees_through_relabelings(data):
     assert (iso(a, b) is not None) == (ca == cb) == (i == j)
 
 
+def first_gluing(a, b):
+    """iso's answer on connected pseudomanifolds, from determine_gluing: the
+    gluing of a's first facet onto the first flag of b, in facet then
+    permutation order, that maps the facets of a onto those of b."""
+    for g in b.facets:
+        for perm in itertools.permutations(g):
+            m = determine_gluing(a, b, (a.facets[0], perm))
+            if (m is not None and len(m) == len(a.vertices)
+                    and {tuple(sorted(m[v] for v in F)) for F in a.facets}
+                    == set(b.facets)):
+                return m
+    return None
+
+
+def test_iso_certificate_is_the_first_full_gluing():
+    import random as _random
+    rng = _random.Random(5)
+    for i, a in enumerate(PSEUDOMANIFOLDS):
+        for b in (a, PSEUDOMANIFOLDS[(i + 1) % len(PSEUDOMANIFOLDS)]):
+            labels = list(range(20))
+            rng.shuffle(labels)
+            b = b.relabel({v: labels[k] for k, v in enumerate(b.vertices)})
+            cert = iso(a, b)
+            want = first_gluing(a, b)
+            assert (cert is None) == (want is None)
+            if cert is not None:
+                assert cert.as_dict() == want
+
+
+def test_iso_general_search_keeps_one_frame():
+    # not a pseudomanifold: three edges meet at vertex 1, so iso backtracks
+    # over vertex images, one level per vertex, past the interpreter's
+    # recursion limit
+    import random as _random
+    a = SimplicialComplex([(i, i + 1) for i in range(1500)] + [(1, 1501)])
+    labels = list(range(1502))
+    _random.Random(3).shuffle(labels)
+    b = a.relabel(dict(enumerate(labels)))
+    cert = iso(a, b)
+    assert cert is not None and cert.check(a, b)
+
+
 def test_fast_paths_honour_their_budgets():
     K = sd_k(octahedron(), 2).complex
     with pytest.raises(BudgetExceededError) as err:

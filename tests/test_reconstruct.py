@@ -7,15 +7,21 @@ hand (odd cycles admit no alternating rank assignment, a lone edge or a
 4-cycle forces two vertices onto the same recovered face).
 """
 
-import pytest
+import itertools
+import time
 
-from scx.complexes import SimplicialComplex, full_simplex, simplex_boundary
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scx.complexes import (SimplicialComplex, full_simplex, octahedron,
+                           simplex_boundary)
 from scx.census import iso
 from scx.errors import NotDerivedSubdivisionError
 from scx.reconstruct import rank_coloring, rank_colorings, reconstruct
-from scx.subdivision import sd
+from scx.subdivision import sd, sd_k
 
-from conftest import random_complex
+from conftest import maximal_faces, random_complex
 
 
 def unwrap(complex):
@@ -129,3 +135,77 @@ def test_random_roundtrips():
         K = sd(T).complex.normalize()
         got = reconstruct(K)
         assert iso(got, T) is not None
+
+
+def peels_one_round(base, k):
+    got = reconstruct(sd_k(base, k).complex.normalize())
+    return iso(got, sd_k(base, k - 1).complex) is not None
+
+
+# a search with one interpreter frame per facet overflowed the stack on the
+# 1728 facets of sd^3(oct) and the 1296 of sd^4(triangle)
+def test_reconstruct_third_subdivision_of_the_octahedron():
+    assert peels_one_round(octahedron(), 3)
+
+
+def test_reconstruct_fourth_subdivision_of_the_triangle():
+    assert peels_one_round(full_simplex(2), 4)
+
+
+def test_reconstruct_fourth_subdivision_of_the_octahedron():
+    K = sd(sd_k(octahedron(), 3).complex.normalize()).complex
+    assert reconstruct(K).f_vector() == (866, 2592, 1728)
+
+
+def test_bouquet_of_triangles_rejected_at_once():
+    # 30 triangles on one shared vertex: no piece has the neighbour counts
+    # of a derived subdivision, so the search ends at the first piece
+    K = SimplicialComplex([(0, 2 * i + 1, 2 * i + 2) for i in range(30)])
+    start = time.perf_counter()
+    with pytest.raises(NotDerivedSubdivisionError):
+        reconstruct(K)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(1, 6))
+    faces = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=4, unique=True),
+                          min_size=1, max_size=5))
+    return SimplicialComplex(maximal_faces(faces))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_complexes(), st.randoms(use_true_random=False))
+def test_reconstruct_inverts_relabeled_subdivisions(T, rng):
+    K = sd(T).complex
+    labels = list(range(len(K.vertices)))
+    rng.shuffle(labels)
+    K = K.relabel(dict(zip(K.vertices, labels)))
+    assert iso(reconstruct(K), T) is not None
+
+
+def brute_rank_colorings(K):
+    """Every valid assignment, in the order of a facet-by-facet search: by
+    the ranks of the facets' vertices read facet after facet."""
+    vs = K.vertices
+    top = max(len(F) for F in K.facets)
+    found = []
+    for values in itertools.product(range(top), repeat=len(vs)):
+        ranks = dict(zip(vs, values))
+        if all(sorted(ranks[v] for v in F) == list(range(len(F)))
+               for F in K.facets):
+            found.append(ranks)
+    return sorted(found, key=lambda r: [r[v] for F in K.facets for v in F])
+
+
+def test_rank_colorings_match_brute_force():
+    cases = [SimplicialComplex([(i, (i + 1) % 6) for i in range(6)]),
+             SimplicialComplex([(0, 1, 2), (2, 3), (3, 4), (5,)]),
+             SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (4, 5)]),
+             sd(SimplicialComplex([(0, 1), (1, 2)])).complex.normalize()]
+    cases += [random_complex(seed, n_vertices=6, max_dim=2, n_samples=4)
+              for seed in range(40)]
+    for K in cases:
+        assert list(rank_colorings(K)) == brute_rank_colorings(K), K.facets

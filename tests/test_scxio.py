@@ -127,6 +127,19 @@ def test_parser_rejects_count_and_label_mismatches():
     assert str(e) == "line 4: vertex labels must be exactly 0..1"
 
 
+def test_parser_rejects_a_missing_final_newline():
+    # the writer ends every line with a newline, so such a file would not
+    # write back byte for byte; the error names the last line
+    for text in (complex_to_text(octahedron()),
+                 "scx 1\ndim -1\nvertices 0\nfacets 0\n"):
+        complex_from_text(text)
+        e = bad(text[:-1], text.count("\n"))
+        assert str(e) == "line %d: missing final newline" % text.count("\n")
+    # a bad line still comes first, named as before
+    e = bad("scx 1\ndim 2\nvertices 3\nfacets 1\n0  1 2", 5)
+    assert str(e) == "line 5: malformed spacing"
+
+
 def test_error_message_carries_line_number():
     e = bad("scx 1\ndim 1\nvertices 3\nfacets 2\n0 1\n1 1\n", 6)
     assert str(e).startswith("line 6:")
