@@ -21,7 +21,7 @@ from scx import (
     triangle_strip,
 )
 
-# the raw material is a triangulated strip of 2k triangles
+# the raw material is a triangulated strip; triangle_strip(5) has 5 triangles
 strip = triangle_strip(5)
 print("strip:", len(strip.facets), "triangles,",
       "boundary edges:", len(strip.boundary().facets))
@@ -54,7 +54,9 @@ print("torus quotients at r=4:", total, "patterns,", accepted, "accepted")
 print("polygon triangulations, 6-gon:",
       sum(1 for _ in polygon_triangulations(6)))
 
-# the table summarizes facet counts against isomorphism type counts
+# the table summarizes facet counts against isomorphism type counts; the
+# parameter is the genus g, or the polygon size r for the torus quotients
 for row in lower_bound_table(3):
-    print(row.family, "g =", row.parameter, ":",
+    name = "r" if row.family == "torus-quotient" else "g"
+    print(row.family, name, "=", row.parameter, ":",
           row.n_facets, "facets,", row.n_types, "types")

@@ -3,7 +3,7 @@
 The pseudomanifold fast paths all exploit the same fact: once an ordered
 facet correspondence is fixed, walking the dual graph forces the rest of the
 vertex identification, because crossing a shared ridge determines the image
-of the opposite vertex, which each walk reads off the ridge index.
+of the opposite vertex, which each walk reads off the incidence index.
 determine_gluing walks from one ordered seed facet.  canonical_label walks
 from every flag (a facet and an order of its vertices), numbering vertices
 as it meets them, and keeps the smallest walk code, each facet's sorted
@@ -70,14 +70,14 @@ def determine_gluing(a, b, seed):
     if len(fa) != len(ordered):
         raise InvalidComplexError("seed facets have different dimensions")
     for c, name in ((a, "first"), (b, "second")):
-        if not c.dual_graph().pseudomanifold:
+        if not (c.is_pure() and c._incidence()[2]):
             raise InvalidComplexError(
                 "%s complex is not a pseudomanifold" % name)
     fs_a, fs_b = a.facets, b.facets
-    across_a = a._across()
+    across_a = a._incidence()[1]
     # per facet of b: facing vertex -> (neighbour, its vertex facing the ridge)
     across_b = [{G[p]: (k, fs_b[k][q]) for p, k, q in row}
-                for G, row in zip(fs_b, b._across())]
+                for G, row in zip(fs_b, b._incidence()[1])]
     mapping = dict(zip(fa, ordered))
     inverse = {w: v for v, w in mapping.items()}
     start = fs_a.index(fa)
@@ -127,9 +127,9 @@ def _screens(complex):
 
 
 def _connected_pm(complex):
-    """Whether complex is a connected pure pseudomanifold of dimension >= 1."""
-    dg = complex.is_pure() and complex.dim >= 1 and complex.dual_graph()
-    return bool(dg) and dg.pseudomanifold and dg.connected
+    """Whether complex is pure, of dimension >= 1, thin and one piece."""
+    return (complex.is_pure() and complex.dim >= 1 and complex._incidence()[2]
+            and len(complex._incidence()[3]) == 1)
 
 
 def _certificate(mapping):
@@ -224,11 +224,11 @@ def iso(a, b, max_nodes=10 ** 6):
 
 def _walk_table(complex, index):
     """Facets as vertex indices, and per facet (facing vertex, neighbour, apex)
-    for each neighbour, read off the ridge index: apex is the neighbour's
+    for each neighbour, read off the incidence index: apex is the neighbour's
     vertex opposite the shared ridge."""
     facets = [[index[v] for v in F] for F in complex.facets]
     table = [[(F[p], j, facets[j][q]) for p, j, q in row]
-             for F, row in zip(facets, complex._across())]
+             for F, row in zip(facets, complex._incidence()[1])]
     return facets, table
 
 

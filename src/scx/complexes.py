@@ -73,8 +73,7 @@ def _closure(facets):
 
 def _ridge_map(facets):
     """Ridge -> (facet index, position of the vertex facing the ridge) for
-    each facet containing it (facets of dimension >= 1): the one place that
-    knows which vertex faces a ridge."""
+    each facet of dimension >= 1 containing it."""
     ridges = {}
     for i, F in enumerate(facets):
         if len(F) > 1:
@@ -198,23 +197,42 @@ class SimplicialComplex:
         return len({len(F) for F in self.facets}) <= 1
 
     def _incidence(self):
-        """(vertex -> facet indices, the ridge map), cached; read-only."""
+        """(stars, across, thin, pieces), built once; read-only.
+
+        stars maps a vertex to the indices of its facets.  across[i] lists
+        (p, j, q) for each facet j sharing the ridge that facet i's vertex at
+        position p faces; q is the position of j's facing vertex.  thin: no
+        ridge lies in three facets.  pieces are the ridge-connected pieces
+        by least facet s, as (s, tree): tree holds, breadth first, the
+        crossing (i, p, j, q) that first reaches each other facet j, so the
+        crossings span the piece.  Ridges count for facets of dim >= 1.
+        """
         if self._index is None:
+            fs = self.facets
             stars = {}
-            for i, F in enumerate(self.facets):
+            for i, F in enumerate(fs):
                 for v in F:
                     stars.setdefault(v, []).append(i)
-            self._index = (stars, _ridge_map(self.facets))
+            ridges = _ridge_map(fs)
+            across = [[] for _ in fs]
+            for ends in ridges.values():
+                for (i, p), (j, q) in itertools.permutations(ends, 2):
+                    across[i].append((p, j, q))
+            thin = all(len(ends) <= 2 for ends in ridges.values())
+            pieces, seen = [], [False] * len(fs)
+            for s in range(len(fs)):
+                if not seen[s]:
+                    seen[s] = True
+                    order, tree = [s], []
+                    for i in order:
+                        for p, j, q in across[i]:
+                            if not seen[j]:
+                                seen[j] = True
+                                order.append(j)
+                                tree.append((i, p, j, q))
+                    pieces.append((s, tree))
+            self._index = (stars, across, thin, pieces)
         return self._index
-
-    def _across(self):
-        """Per facet, (position, neighbour, neighbour's position) for each facet
-        sharing the ridge its vertex at position faces; built on each call."""
-        out = [[] for _ in self.facets]
-        for ends in self._incidence()[1].values():
-            for (i, p), (j, q) in itertools.permutations(ends, 2):
-                out[i].append((p, j, q))
-        return out
 
     def facets_containing(self, sigma):
         s, fs = face_tuple(sigma), self.facets
@@ -344,63 +362,50 @@ class SimplicialComplex:
         return [SimplicialComplex._canonical(fs) for fs in self._facet_groups()]
 
     def dual_graph(self):
-        """Facet adjacency across shared ridges.
+        """Facet adjacency across shared ridges, read off the incidence index.
 
-        pseudomanifold means pure, nonempty and every ridge in at most two
-        facets; ridges only count for facets of dimension >= 1.
+        pseudomanifold means pure, nonempty and thin (every ridge in at most
+        two facets); connected means at most one ridge-connected piece.
         """
         fs = self.facets
-        pm = (self.is_pure() and bool(fs)
-              and all(len(e) <= 2 for e in self._incidence()[1].values()))
+        _, across, thin, pieces = self._incidence()
         # two facets share at most one ridge, so no neighbour repeats
-        adj = [tuple(sorted(j for _, j, _ in row)) for row in self._across()]
-        reached = [0] if fs else []
-        seen = set(reached)
-        for i in reached:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    reached.append(j)
-        return DualGraph(facets=fs, adjacency=tuple(adj), pseudomanifold=pm,
-                         connected=len(seen) == len(fs))
+        adj = tuple(tuple(sorted(j for _, j, _ in row)) for row in across)
+        return DualGraph(facets=fs, adjacency=adj,
+                         pseudomanifold=self.is_pure() and bool(fs) and thin,
+                         connected=len(pieces) <= 1)
 
     def orientation(self):
         """Compatible facet signs, or None when no such assignment exists.
 
-        Needs a pure complex in which every ridge lies in at most two facets.
-        Each connected piece of the dual graph is oriented from its first facet.
+        Needs a pure complex.  Signs start at 1 on each piece's least facet,
+        follow the piece's tree crossings and are then checked at every ridge.
         """
         if not self.is_pure():
             raise InvalidComplexError("orientation needs a pure complex")
-        fs = self.facets
-        if any(len(ends) > 2 for ends in self._incidence()[1].values()):
+        _, across, thin, pieces = self._incidence()
+        if not thin:
             return None
-        across = self._across()
+        # compatible iff the ridge orientations induced by the positions of
+        # the two facing vertices cancel
         sign = {}
-        for start in range(len(fs)):
-            if start in sign:
-                continue
-            sign[start] = 1
-            queue = [start]
-            while queue:
-                i = queue.pop()
-                for p, j, q in across[i]:
-                    # compatible iff the ridge orientations induced by the
-                    # positions of the facing vertices cancel
-                    want = -sign[i] * (-1) ** (p + q)
-                    if j not in sign:
-                        sign[j] = want
-                        queue.append(j)
-                    elif sign[j] != want:
-                        return None
-        return {fs[i]: s for i, s in sign.items()}
+        for seed, tree in pieces:
+            sign[seed] = 1
+            for i, p, j, q in tree:
+                sign[j] = -sign[i] * (-1) ** (p + q)
+        for i, row in enumerate(across):
+            for p, j, q in row:
+                if sign[j] != -sign[i] * (-1) ** (p + q):
+                    return None
+        return {self.facets[i]: s for i, s in sign.items()}
 
     # -- surface recognition ----------------------------------------------
 
     def classify_surface(self):
         """Decide whether this is a connected triangulated surface and which one.
 
-        Disconnected complexes report not-a-surface.
+        Disconnected complexes report not-a-surface.  The index gives the
+        pieces, the thin flag and each vertex link, read off the star.
         """
         chi = self.euler_characteristic()
 
@@ -409,13 +414,12 @@ class SimplicialComplex:
 
         if not self.facets or self.dim != 2 or not self.is_pure():
             return fail()
-        if not self.is_connected():
-            return fail()
-        if any(len(fs) > 2 for fs in self._incidence()[1].values()):
+        stars, _, thin, pieces = self._incidence()
+        if not thin or len(pieces) != 1:  # one piece is vertex-connected: see below
             return fail()
         fs = self.facets
         closed = True
-        for v, star in self._incidence()[0].items():
+        for v, star in stars.items():
             # the link of v is the graph of edges F - v over its star facets
             nbrs = {}
             for i in star:
@@ -426,7 +430,8 @@ class SimplicialComplex:
             # no edge lies in three triangles, so the link is a union of
             # cycles and paths; walk the piece from one path end, or from
             # anywhere if there is none: a single cycle (interior vertex) or
-            # path (boundary vertex) meets every vertex
+            # path (boundary vertex) meets every vertex, and then the star
+            # of v lies in one piece, so one piece is vertex-connected
             ends = [u for u, ns in nbrs.items() if len(ns) == 1]
             start = ends[0] if ends else next(iter(nbrs))
             prev, cur, seen = start, nbrs[start][0], 1

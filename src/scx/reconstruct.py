@@ -5,9 +5,11 @@ forgotten, every vertex of K stands for a face of T and carries a well
 defined rank (the dimension of that face).  Each facet of K is a maximal
 chain, so its vertices carry ranks 0..L-1 bijectively, and the two vertices
 facing a shared ridge carry the same rank: the ranks of a seed facet fix
-those of its ridge-connected piece.  Rank recovery searches seed orderings
-piece by piece, on an explicit stack.  The rank-0 vertices are those of T,
-and the face of T behind a vertex u is the set of rank-0 neighbors of u.
+those of its ridge-connected piece, along the spanning tree of ridge
+crossings that the complex's incidence index lists for the piece.  Rank
+recovery searches seed orderings piece by piece, on an explicit stack.
+The rank-0 vertices are those of T, and the face of T behind a vertex u
+is the set of rank-0 neighbors of u.
 reconstruct keeps a piece's ranks only if each of its vertices has rank + 1
 rank-0 neighbors inside it, as in any sd(T): a chain through the barycenter
 of a face lies in sd(F) for a facet F of T, and sd(F) in one piece.  A
@@ -37,30 +39,20 @@ def _rankings(complex, strict):
     """rank_colorings' assignments in the same order; with strict, only
     those whose every piece passes the rank-0 neighbour count."""
     fs = complex.facets
-    across = complex._across()
-    # ridge-connected pieces by least facet: their facets, seed first, and
-    # the pairs of vertices facing a ridge that reach each other facet
-    pieces, seen = [], set()
-    for s in range(len(fs)):
-        if s not in seen:
-            seen.add(s)
-            order, links = [s], []
-            for i in order:
-                for p, j, q in across[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        order.append(j)
-                        links.append((fs[i][p], fs[j][q]))
-            pieces.append((order, links))
+    # per ridge-connected piece: its facets, seed first, and the vertex pairs
+    # facing the ridges of its spanning tree
+    pieces = [([fs[s]] + [fs[j] for _, _, j, _ in tree],
+               [(fs[i][p], fs[j][q]) for i, p, j, q in tree])
+              for s, tree in complex._incidence()[3]]
     ranks = {}
 
     def seeds(k):
         # one yield per seed ordering the piece accepts; the piece's ranks
         # stay in place until the generator resumes
-        order, links = pieces[k]
-        free = [v for v in fs[order[0]] if v not in ranks]
-        need = set(range(len(fs[order[0]]))).difference(
-            ranks[v] for v in fs[order[0]] if v in ranks)
+        facets, links = pieces[k]
+        free = [v for v in facets[0] if v not in ranks]
+        need = set(range(len(facets[0]))).difference(
+            ranks[v] for v in facets[0] if v in ranks)
         if len(need) != len(free):
             return  # a rank already on the seed repeats or is too large
         for perm in itertools.permutations(sorted(need)):
@@ -75,7 +67,7 @@ def _rankings(complex, strict):
             else:
                 if not strict or all(
                         len(zs) == ranks[v] + 1 for v, zs in
-                        _rank0_neighbours((fs[i] for i in order), ranks).items()):
+                        _rank0_neighbours(facets, ranks).items()):
                     yield True
             for v in added:
                 del ranks[v]

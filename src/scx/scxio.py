@@ -12,9 +12,9 @@ The complex format is line-oriented and strict:
 Writing always renumbers vertices densely by first appearance in the sorted
 facet list.  One renumbering pass is not idempotent (resorting the facets can
 change which vertex appears first), so the pass is iterated until the facet
-list stops changing; if the iteration ever cycles, the lexicographically
-smallest state of the cycle is used.  Rewriting a written file is therefore
-byte-identical.
+list stops changing.  That always happens: a pass that changes the list makes
+it lexicographically smaller (see canonical_facets), so no state repeats.
+Rewriting a written file is therefore byte-identical.
 
 Reading is strict in the same way: facet lines must hold strictly
 increasing labels, come in increasing order and never nest, and the last
@@ -62,17 +62,18 @@ def _relabel_once(facets):
 
 
 def canonical_facets(complex):
-    """Dense int relabeling that is stable under being applied again."""
-    cur = complex.facets
-    seen = {}
-    states = []
-    while cur not in seen:
-        seen[cur] = True
-        states.append(cur)
-        cur = _relabel_once(cur)
-    if cur == states[-1]:
-        return cur
-    return min(states[states.index(cur):])
+    """Dense int relabeling that is stable under being applied again.
+
+    Passes after the first lower the sorted facet list until it is fixed.
+    Let F be the first facet with a vertex the pass moves.  The facets
+    before it keep their labels, so these are 0..m-1, and the new vertices
+    of F take m, m+1, ... in order: none grows and one shrinks, so the
+    image of F, and with it the new list, sorts lower.
+    """
+    prev, cur = None, _relabel_once(complex.facets)
+    while cur != prev:
+        prev, cur = cur, _relabel_once(cur)
+    return cur
 
 
 def complex_to_text(complex):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from scx import BudgetExceededError, InvalidComplexError, SimplicialComplex, octahedron, simplex_boundary
 from scx.census import (
+    IsoCertificate,
     canonical_label,
     census,
     check_bounds,
@@ -223,6 +224,32 @@ def test_iso_on_known_pairs():
 
     cert = iso(s, s)
     assert cert is not None and cert.check(s, s)
+
+    # a wrong domain, a wrong image set, an image that is no vertex label
+    # (1.0 equals 1 but is not a label), and a bijection that is no map
+    m = dict(cert.mapping)
+    assert not IsoCertificate(tuple(sorted(m.items()))[1:]).check(s, s)
+    assert not IsoCertificate(tuple((v, v + 1) for v in s.vertices)).check(s, s)
+    assert not IsoCertificate(((0, 1.0), (1, 0), (2, 2), (3, 3))).check(s, s)
+    edge = SimplicialComplex([(0, 1), (1, 2)])
+    assert not IsoCertificate(((0, 1), (1, 0), (2, 2))).check(edge, edge)
+
+
+def test_pseudomanifold_paths_build_no_dual_graph(monkeypatch):
+    """canonical_label, iso and determine_gluing read "connected
+    pseudomanifold" off the incidence index."""
+    a = sd_k(octahedron(), 1).complex.normalize()
+    b = a.relabel({v: (7 * v + 3) % 26 for v in a.vertices})
+
+    def refuse(self):
+        raise AssertionError("dual_graph was called")
+
+    monkeypatch.setattr(SimplicialComplex, "dual_graph", refuse)
+    assert canonical_label(a)[0] == canonical_label(b)[0]
+    cert = iso(a, b)
+    assert cert is not None and cert.check(a, b)
+    m = cert.as_dict()
+    assert determine_gluing(a, b, (a.facets[0], [m[v] for v in a.facets[0]])) == m
 
 
 def test_iso_agrees_with_brute_force():

@@ -18,7 +18,7 @@ from scx.complexes import (SimplicialComplex, full_simplex, octahedron,
                            simplex_boundary)
 from scx.census import iso
 from scx.errors import NotDerivedSubdivisionError
-from scx.reconstruct import rank_coloring, rank_colorings, reconstruct
+from scx.reconstruct import _rankings, rank_coloring, rank_colorings, reconstruct
 from scx.subdivision import sd, sd_k
 
 from conftest import maximal_faces, random_complex
@@ -165,6 +165,19 @@ def test_bouquet_of_triangles_rejected_at_once():
     with pytest.raises(NotDerivedSubdivisionError):
         reconstruct(K)
     assert time.perf_counter() - start < 1.0
+
+
+def test_chain_check_rejects_what_the_piece_checks_pass():
+    # one rank assignment passes every piece's rank-0 neighbour count, and
+    # only the chain check rejects the candidate: in sd(octahedron) minus
+    # one facet its translated chains are not the facets, and in
+    # sd(triangle) minus the two facets at a corner a face of it has a
+    # subface no vertex stands for
+    for K in (SimplicialComplex(sd(octahedron()).complex.facets[1:]),
+              SimplicialComplex(sd(full_simplex(2)).complex.facets[2:])):
+        assert len(list(_rankings(K, True))) == 1
+        with pytest.raises(NotDerivedSubdivisionError):
+            reconstruct(K)
 
 
 @st.composite

@@ -5,6 +5,7 @@ writer is checked against a frozen byte string and the parser against the
 writer.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -15,7 +16,7 @@ from scx.collapse import collapses_to, is_collapsible, is_endo_collapsible
 from scx.complexes import SimplicialComplex, full_simplex, octahedron
 from scx.errors import ScxFormatError
 from scx.families import polygon_triangulations
-from scx.scxio import (canonical_facets, certificate_from_text,
+from scx.scxio import (_relabel_once, canonical_facets, certificate_from_text,
                        certificate_to_text, complex_from_text,
                        complex_to_text, read_certificate, read_complex,
                        write_certificate, write_complex)
@@ -186,16 +187,28 @@ def test_certificate_needs_int_labels():
 
 
 def test_certificate_parser_rejections():
-    with pytest.raises(ScxFormatError):
-        certificate_from_text("collapse 1 1,2\nremove 0 1 2\nclaim collapsible\n", DISK2)
-    with pytest.raises(ScxFormatError):
-        certificate_from_text("claim collapsible\nclaim collapsible\n", DISK2)
-    with pytest.raises(ScxFormatError):
-        certificate_from_text("collapse 1 1,2\n", DISK2)
-    with pytest.raises(ScxFormatError):
-        certificate_from_text("frob 1 2\nclaim collapsible\n", DISK2)
-    with pytest.raises(ScxFormatError):
-        certificate_from_text("target 0 1\nclaim collapsible\n", DISK2)
+    for text, line_no, message in (
+            ("collapse 1 1,2\nremove 0 1 2\nclaim collapsible\n", 2,
+             "remove must be the first line"),
+            ("claim collapsible\nclaim collapsible\n", 2, "duplicate claim"),
+            ("collapse 1 1,2\n", 1, "certificate has no claim line"),
+            ("frob 1 2\nclaim collapsible\n", 1, "unknown directive 'frob'"),
+            ("target 0 1\nclaim collapsible\n", 1,
+             "target lines only follow a collapse-to claim"),
+            ("claim collapsible\ncollapse 1 1,2\n", 2, "collapse after claim"),
+            ("collapse 1\nclaim collapsible\n", 1, "collapse needs two faces"),
+            ("collapse 1 1,2 1,2,3\nclaim collapsible\n", 1,
+             "collapse needs two faces"),
+            ("claim\n", 1, "claim needs one word"),
+            ("collapse 1 1,2\nclaim collapse to\n", 2, "claim needs one word")):
+        with pytest.raises(ScxFormatError) as e:
+            certificate_from_text(text, DISK2)
+        assert str(e.value) == "line %d: %s" % (line_no, message), text
+    # the writer refuses a collapse-to claim it could not read back
+    cert = collapses_to(DISK2, SimplicialComplex([(1, 2, 3)])).certificate
+    with pytest.raises(ScxFormatError) as e:
+        certificate_to_text(dataclasses.replace(cert, target_facets=None))
+    assert str(e.value) == "collapse-to certificate without a target"
 
 
 def test_certificate_face_rejections_name_the_line():
@@ -293,6 +306,33 @@ def labelled_complexes(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SimplicialComplex([tuple(names[i] for i in f) for f in raw])
+
+
+def relabel_passes(C):
+    """Every facet list the writer's renumbering passes go through."""
+    states = [_relabel_once(C.facets)]
+    while len(states) < 2 or states[-1] != states[-2]:
+        states.append(_relabel_once(states[-1]))
+    return states
+
+
+@SETTINGS
+@given(st.one_of(labelled_complexes(),
+                 labelled_complexes().map(lambda C: sd(C).complex)))
+def test_each_renumbering_pass_lowers_the_facet_list(C):
+    """After the first pass, a pass that changes the facets makes their
+    sorted list lexicographically smaller, so the passes cannot cycle; sd
+    outputs carry tuple labels."""
+    states = relabel_passes(C)
+    assert all(b < a for a, b in zip(states[:-2], states[1:-1]))
+    assert canonical_facets(C) == states[-1]
+
+
+def test_renumbering_the_third_subdivision_of_the_octahedron():
+    K = sd(sd(sd(octahedron()).complex).complex).complex
+    states = relabel_passes(K)
+    assert len(states) == 18 and states[-1] == canonical_facets(K)
+    assert all(b < a for a, b in zip(states[:-2], states[1:-1]))
 
 
 @SETTINGS

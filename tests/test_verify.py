@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx.collapse import is_endo_collapsible
+from scx.collapse import CollapseSequence, is_endo_collapsible
 from scx.complexes import face_tuple, octahedron, simplex_boundary
 from scx.scxio import complex_from_text, complex_to_text
 from scx.subdivision import sd_k
@@ -150,3 +150,28 @@ def test_parse_classify_and_replay_scale_linearly():
 
     small, large = best_of_3(2), best_of_3(3)
     assert large / small < 15, (small, large)
+
+
+def test_each_claim_check_names_its_reason():
+    """One certificate per check that the replays above never reach, with
+    the verdict and message it must get."""
+    tri, path = ((0, 1, 2),), ((0, 1), (1, 2))
+    mixed, disk = ((0, 1, 2), (2, 3)), ((0, 1, 2), (1, 2, 3))
+    removal = "facet removal only belongs to endo-collapsible claims"
+    for facets, removed, claim, target, want in (
+            (tri, None, "bogus", None, (False, "unknown claim 'bogus'")),
+            (tri, (0, 1, 2), "collapsible", None, (False, removal)),
+            (tri, None, "endo-collapsible", None, (False, removal)),
+            (tri, (0, 1), "endo-collapsible", None,
+             (False, "removed face (0, 1) is not a facet")),
+            (path, None, "collapse-to", ((1,),),
+             (False, "terminal state differs from the target")),
+            (mixed, (0, 1, 2), "endo-collapsible", None,
+             (False, "endo-collapsible claim on a non-pure complex")),
+            (disk, (0, 1, 2), "endo-collapsible", None,
+             (False, "terminal state differs from the boundary")),
+            (((0,),), (0,), "endo-collapsible", None,
+             (True, "single vertex removed"))):
+        cert = CollapseSequence(initial_facets=facets, removed_facet=removed,
+                                pairs=(), claim=claim, target_facets=target)
+        assert verify_certificate(cert) == want, (facets, claim)
