@@ -442,14 +442,22 @@ def enumerate_disks(max_triangles):
 # -- counting bounds and the census table ------------------------------------
 
 
+def _check_bound_args(d, n_facets):
+    if d < 0 or n_facets < 0:
+        raise InvalidComplexError("bounds need d >= 0 and n_facets >= 0, got d=%d, "
+                                  "n_facets=%d" % (d, n_facets))
+
+
 def manifold_count_bound(d, n_facets):
     """Upper bound 2^(d^2 N) for the number of d-manifold triangulation types
     with N facets."""
+    _check_bound_args(d, n_facets)
     return 2 ** (d * d * n_facets)
 
 
 def derived_count_bound(d, n_facets):
     """Upper bound 2^(d^2 (d+1)! N) used when passing to derived subdivisions."""
+    _check_bound_args(d, n_facets)
     return 2 ** (d * d * math.factorial(d + 1) * n_facets)
 
 

@@ -210,9 +210,12 @@ def cmd_verify_cert(args):
 
 
 def cmd_bounds(args):
+    # both bounds first: a rejected input prints nothing to stdout
+    bound = manifold_count_bound(args.d, args.facets)
+    derived = derived_count_bound(args.d, args.facets)
     print("dim %d facets %d" % (args.d, args.facets))
-    print("manifold-count-bound %d" % manifold_count_bound(args.d, args.facets))
-    print("derived-count-bound %d" % derived_count_bound(args.d, args.facets))
+    print("manifold-count-bound %d" % bound)
+    print("derived-count-bound %d" % derived)
     if args.table:
         print("family parameter facets types")
         for row in lower_bound_table():

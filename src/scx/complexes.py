@@ -117,7 +117,7 @@ class SimplicialComplex:
     silently.
     """
 
-    __slots__ = ("facets", "_faces", "_by_dim", "_index")
+    __slots__ = ("facets", "_faces", "_by_dim", "_star_index", "_index")
 
     def __init__(self, facets=()):
         cleaned = {face_tuple(f) for f in facets}
@@ -132,6 +132,7 @@ class SimplicialComplex:
         self.facets = tuple(sorted(keep, key=_fkey))
         self._faces = None
         self._by_dim = None
+        self._star_index = None
         self._index = None
 
     @classmethod
@@ -142,12 +143,14 @@ class SimplicialComplex:
         strictly increasing in the universal label order, none is contained
         in another, and the sequence is sorted by _fkey.  Only callers that
         prove all four may use this; input from outside the program goes
-        through __init__.
+        through __init__.  The callers are the .scx parser, star,
+        connected_components and sd, each with its proof where it calls.
         """
         self = cls.__new__(cls)
         self.facets = tuple(facets)
         self._faces = None
         self._by_dim = None
+        self._star_index = None
         self._index = None
         return self
 
@@ -196,10 +199,20 @@ class SimplicialComplex:
     def is_pure(self):
         return len({len(F) for F in self.facets}) <= 1
 
+    def _stars(self):
+        """Vertex -> indices of the facets containing it, built once; read-only."""
+        if self._star_index is None:
+            stars = {}
+            for i, F in enumerate(self.facets):
+                for v in F:
+                    stars.setdefault(v, []).append(i)
+            self._star_index = stars
+        return self._star_index
+
     def _incidence(self):
         """(stars, across, thin, pieces), built once; read-only.
 
-        stars maps a vertex to the indices of its facets.  across[i] lists
+        stars is the table of _stars(), not a copy.  across[i] lists
         (p, j, q) for each facet j sharing the ridge that facet i's vertex at
         position p faces; q is the position of j's facing vertex.  thin: no
         ridge lies in three facets.  pieces are the ridge-connected pieces
@@ -209,10 +222,6 @@ class SimplicialComplex:
         """
         if self._index is None:
             fs = self.facets
-            stars = {}
-            for i, F in enumerate(fs):
-                for v in F:
-                    stars.setdefault(v, []).append(i)
             ridges = _ridge_map(fs)
             across = [[] for _ in fs]
             for ends in ridges.values():
@@ -231,14 +240,14 @@ class SimplicialComplex:
                                 order.append(j)
                                 tree.append((i, p, j, q))
                     pieces.append((s, tree))
-            self._index = (stars, across, thin, pieces)
+            self._index = (self._stars(), across, thin, pieces)
         return self._index
 
     def facets_containing(self, sigma):
         s, fs = face_tuple(sigma), self.facets
         if not s:
             return fs
-        star = self._incidence()[0].get(s[0], ())
+        star = self._stars().get(s[0], ())
         return tuple(fs[i] for i in star if set(s).issubset(fs[i]))
 
     # -- local and global constructions ----------------------------------

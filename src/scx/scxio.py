@@ -39,6 +39,7 @@ An endo-collapsible claim's goal, the boundary, is implied by the complex
 and never stored: its target_facets stays None.
 """
 
+import itertools
 import re
 
 from .collapse import CollapsePair, CollapseSequence
@@ -53,12 +54,14 @@ _COMMA_INTS = re.compile("%s(?:,%s)*" % (_INT, _INT))
 
 
 def _relabel_once(facets):
-    order = {}
-    for F in facets:
-        for v in F:
-            if v not in order:
-                order[v] = len(order)
-    return tuple(sorted(tuple(sorted(order[v] for v in F)) for F in facets))
+    """One renumbering pass: vertices by first appearance, then each facet
+    and the list sorted."""
+    order = dict.fromkeys(itertools.chain.from_iterable(facets))
+    for i, v in enumerate(order):
+        order[v] = i
+    out = [tuple(sorted(map(order.__getitem__, F))) for F in facets]
+    out.sort()
+    return out
 
 
 def canonical_facets(complex):
@@ -73,7 +76,7 @@ def canonical_facets(complex):
     prev, cur = None, _relabel_once(complex.facets)
     while cur != prev:
         prev, cur = cur, _relabel_once(cur)
-    return cur
+    return tuple(cur)
 
 
 def complex_to_text(complex):

@@ -7,12 +7,18 @@ contributes (dim F + 1)! facets and the subdivision of the whole complex has
 sum_F (dim F + 1)! facets.  Chain vertices keep their face-of-the-base labels,
 which is what lets neighborhoods and repeated rounds line up without any
 renaming; normalize() flattens the labels when ints are wanted.
+
+sd() sorts labels once, the base vertices in the universal order, and
+works on ranks from there: every base face is ranked once as its tuple of
+vertex ranks, each chain is an increasing tuple of face ranks, the chains
+are sorted once and handed to the complex through
+SimplicialComplex._canonical (proof in sd).
 """
 
 import itertools
 import math
 
-from .complexes import SimplicialComplex, face_tuple, _fkey
+from .complexes import SimplicialComplex, face_tuple, _closure, _fkey
 from .errors import BudgetExceededError, InvalidComplexError
 
 DEFAULT_MAX_FACETS = 10 ** 7
@@ -50,19 +56,66 @@ def _predict_facets(complex):
     return sum(math.factorial(len(F)) for F in complex.facets)
 
 
+def _chain_shape(n):
+    """The maximal chains of a facet of n vertices, by vertex position.
+
+    Returns (subsets, chains): the nonempty subsets of range(n) as increasing
+    tuples, in increasing order, and one chain per ordering of range(n), as
+    the increasing indices into subsets of the ordering's prefixes.
+    """
+    subsets = sorted(s for k in range(1, n + 1)
+                     for s in itertools.combinations(range(n), k))
+    at = {s: i for i, s in enumerate(subsets)}
+    chains = [tuple(sorted(at[tuple(sorted(p[:i + 1]))] for i in range(n)))
+              for p in itertools.permutations(range(n))]
+    return subsets, chains
+
+
 def sd(complex, max_facets=DEFAULT_MAX_FACETS):
-    """Derived subdivision, as a Subdivision object."""
+    """Derived subdivision, as a Subdivision object.
+
+    Each base vertex gets its rank in the universal label order and each base
+    face the rank of its tuple of vertex ranks; a chain is a tuple of face
+    ranks.  Chain labels are looked up only at the end, so no chain or face
+    label is sorted or keyed.
+    """
     predicted = _predict_facets(complex)
     if predicted > max_facets:
         raise BudgetExceededError(
             "subdivision would have %d facets (budget %d)" % (predicted, max_facets),
             requested=predicted, budget=max_facets,
         )
-    chains = []
-    for F in complex.facets:
-        for perm in itertools.permutations(F):
-            chains.append(tuple(face_tuple(perm[:i + 1]) for i in range(len(perm))))
-    return Subdivision(base=complex, complex=SimplicialComplex(chains), rounds=1)
+    verts = complex.vertices  # in _vkey order
+    at = {v: i for i, v in enumerate(verts)}
+    ranked = [tuple(map(at.__getitem__, F)) for F in complex.facets]
+    faces = sorted(_closure(ranked))
+    rank = {f: r for r, f in enumerate(faces)}
+    shapes, chains = {}, []
+    for F in ranked:
+        if len(F) not in shapes:
+            shapes[len(F)] = _chain_shape(len(F))
+        subsets, shape = shapes[len(F)]
+        table = [rank[tuple(map(F.__getitem__, s))] for s in subsets]
+        chains.extend(tuple(map(table.__getitem__, c)) for c in shape)
+    chains.sort()
+    # The facets handed over meet the four conditions of _canonical:
+    # - strictly increasing: ranks follow label order.  A facet is increasing
+    #   in _vkey, so its vertex ranks increase, and position subsets, taken
+    #   in order, compare as the vertex-rank tuples of the faces they pick.
+    #   Those tuples are ranked in _fkey order of the faces, and a face label
+    #   is a tuple keyed (2, _fkey), so face ranks follow the _vkey order of
+    #   chain labels.  A shape chain lists its distinct prefixes by
+    #   increasing subset index, so their ranks increase.
+    # - distinct: a chain of F holds F and only faces of F, and no other
+    #   facet contains F; within F, an ordering is read off its prefixes.
+    # - unnested: a chain of F inside a chain of G puts F inside G, so
+    #   F = G, and both chains have len(F) elements.
+    # - _fkey order: rank tuples sort as their label tuples do, because
+    #   ranks follow _vkey order.
+    labels = [tuple(map(verts.__getitem__, f)) for f in faces]
+    facets = [tuple(map(labels.__getitem__, c)) for c in chains]
+    return Subdivision(base=complex, complex=SimplicialComplex._canonical(facets),
+                       rounds=1)
 
 
 def sd_k(complex, k, max_facets=DEFAULT_MAX_FACETS):

@@ -6,6 +6,9 @@ never lean on the code under test.
 """
 
 import random
+import warnings
+
+from hypothesis import strategies as st
 
 from scx import SimplicialComplex
 
@@ -48,3 +51,18 @@ def random_pure_complex(seed, n_vertices=8, dim=2, n_facets=6):
         if new not in {tuple(sorted(F)) for F in facets}:
             facets.append(new)
     return SimplicialComplex(maximal_faces(facets))
+
+
+labels = st.one_of(st.integers(-3, 40), st.text("abc", max_size=2),
+                   st.tuples(st.integers(0, 2), st.text("ab", max_size=1)))
+
+
+@st.composite
+def labelled_complexes(draw):
+    """Random complexes on int, str and tuple labels, dominated faces included."""
+    names = draw(st.lists(labels, min_size=7, max_size=7, unique=True))
+    raw = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4,
+                                 unique=True), max_size=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex([tuple(names[i] for i in f) for f in raw])

@@ -473,3 +473,13 @@ def test_bound_values():
     assert manifold_count_bound(2, 10) == 2 ** 40
     assert derived_count_bound(2, 1) == 2 ** 24
     assert manifold_count_bound(3, 2) == 2 ** 18
+    assert manifold_count_bound(0, 0) == derived_count_bound(0, 0) == 1
+
+
+def test_bounds_reject_negative_input():
+    # 2 ** negative is a float and factorial(-1) raises ValueError; both
+    # bounds refuse the input instead
+    for bound in (manifold_count_bound, derived_count_bound):
+        for d, n in ((-1, 20), (-2, 20), (2, -3), (-1, -1)):
+            with pytest.raises(InvalidComplexError):
+                bound(d, n)

@@ -6,6 +6,7 @@ sd facet counts in test_subdivision, census rows in test_census, family
 facts in test_families.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -193,6 +194,41 @@ def test_bounds(capsys):
     assert "manifold-count-bound %d" % (2 ** (4 * 22)) in out
     assert "strip 1 22 1" in out
     assert "torus-quotient 2 4 0" in out
+
+
+def test_bounds_on_negative_input(capsys):
+    for argv in (("-d", "-2"), ("-d", "-1"), ("-n", "-3")):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out) == (3, "") and err.startswith("invalid input: "), argv
+
+
+# SHA-256 of each file `sd` writes, one round at a time from `generate`, as
+# written before sd ranked its chains; the bytes must not change
+LADDER_DIGESTS = {
+    "oct1": "c4b102919b46d31ed732ef5320487fdaa4053be9c2d24e3dcb7a423bc7756d75",
+    "oct2": "6226e82fd7a815c8139a5204cfc582db0dbe2fc38beb9a105d2336987c932644",
+    "oct3": "5b599d432a3ed9fa5a1137c94777bf1a59b21e948c38f57992f93ec57ec39012",
+    "tri1": "be97353e41c74579e3ce1eb6aa6143514b723a29ec7993b1a48d08166d7e7fae",
+    "tri2": "990130d220ab457a349f62baf86742807aae956febcc1976fb75ec432db41d75",
+    "tri3": "59e931a84f5d158331809f13e68035239d3e0eebac7019acc00099ed97b644eb",
+    "tri4": "9c579f20fe184e62ab3b9150bb73c7ccc414a7a7122149727777fbef5267033e",
+    "tet1": "aa82ed094c7615d4227595b604271e057f2f71e43e38d499a8f59b7992794eed",
+    "tet2": "2c4157bc08337580554450c348a87962e2aae7a2ecd2524873e2c1f22da0fea5",
+}
+
+
+def test_sd_ladder_bytes_are_frozen(tmp_path, capsys):
+    got = {}
+    for name, generate, rounds in (("oct", ("octahedron",), 3),
+                                   ("tri", ("simplex", "-d", "2"), 4),
+                                   ("tet", ("simplex", "-d", "3"), 2)):
+        path = lambda k: str(tmp_path / ("%s%d.scx" % (name, k)))
+        assert run(capsys, "generate", *generate, "-o", path(0))[0] == 0
+        for k in range(1, rounds + 1):
+            assert run(capsys, "sd", path(k - 1), "-o", path(k))[0] == 0
+            with open(path(k), "rb") as fh:
+                got[name + str(k)] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == LADDER_DIGESTS
 
 
 def test_usage_and_format_errors(tmp_path, capsys):

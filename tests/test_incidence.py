@@ -343,6 +343,17 @@ def test_classify_surface_builds_no_complex_per_vertex(monkeypatch):
         assert len(made) <= 2, (kind, len(made))
 
 
+def test_star_queries_build_only_the_stars():
+    """facets_containing, link and star read the vertex stars alone; the
+    full index, built later, holds that same table."""
+    K = complex_from_text(complex_to_text(sd_k(octahedron(), 2).complex))
+    v = K.vertices[0]
+    assert len(K.facets_containing((v,))) == len(K.link((v,)).facets)
+    assert K.star((v,)).facets == K.facets_containing((v,))
+    assert K._index is None
+    assert K._incidence()[0] is K._stars()
+
+
 # -- the parser's nesting check ------------------------------------------------
 
 

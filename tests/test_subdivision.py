@@ -1,13 +1,19 @@
 """Derived subdivision: counts, carriers, budgets, neighborhoods."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scx.complexes
+import scx.subdivision
 from scx import BudgetExceededError, InvalidComplexError, SimplicialComplex, full_simplex, octahedron, simplex_boundary
+from scx.complexes import face_tuple
 from scx.subdivision import Subdivision, derived_neighborhood, sd, sd_k
 
-from conftest import random_complex
+from conftest import labelled_complexes, random_complex
 
 
 def test_sd_of_triangle():
@@ -146,3 +152,40 @@ def test_sd_agrees_with_stellar_oracle():
         for v in ref.vertices:
             mapping[v] = v[1] if isinstance(v, tuple) and v[0] == "b" else (v,)
         assert set(ref.relabel(mapping).facets) == set(sd(C).complex.facets)
+
+
+def sd_by_face_tuple(C):
+    """The order complex built label by label: every prefix of every ordering
+    of every facet made a face by face_tuple, the chains checked and sorted by
+    the constructor."""
+    chains = []
+    for F in C.facets:
+        for perm in itertools.permutations(F):
+            chains.append(tuple(face_tuple(perm[:i + 1]) for i in range(len(perm))))
+    return SimplicialComplex(chains)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(labelled_complexes(), labelled_complexes().map(sd_by_face_tuple)))
+def test_ranked_chains_match_the_label_construction(C):
+    """int, str and tuple labels, non-pure complexes, 0-dim facets, the empty
+    complex, and their subdivisions (labels nested one level deeper)."""
+    assert sd(C).complex.facets == sd_by_face_tuple(C).facets
+
+
+def test_sd_sorts_no_label(monkeypatch):
+    # the chains are ranked and handed over: no face_tuple, no constructor
+    mixed = SimplicialComplex([(0, "a", (1, "b")), ("a", 2), ((0, ""),)])
+    inputs = [octahedron(), sd(octahedron()).complex, mixed, SimplicialComplex()]
+    want = [sd_by_face_tuple(C).facets for C in inputs]
+    tet = full_simplex(3)
+    want_k = sd_by_face_tuple(sd_by_face_tuple(tet)).facets
+
+    def refuse(*args):
+        raise AssertionError("sd built a face or a complex label by label")
+
+    monkeypatch.setattr(scx.complexes, "face_tuple", refuse)
+    monkeypatch.setattr(scx.subdivision, "face_tuple", refuse)
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    assert [sd(C).complex.facets for C in inputs] == want
+    assert sd_k(tet, 2).complex.facets == want_k
