@@ -91,9 +91,9 @@ def determine_gluing(a, b, seed):
             if nb is None:
                 continue  # one-sided in b: the overlap stops here
             k, apex_b = nb
+            # then image[j] is k, or (mapping being injective) image[i], k and
+            # image[j] would be three facets of thin b on this ridge's image
             if j in image:
-                if image[j] != k:
-                    return None
                 continue
             apex_a = fs_a[j][q]
             if apex_a in mapping:

@@ -11,8 +11,8 @@ Two positive constructions and one documented dead end:
   need no fresh vertices at all: genus g with 20g facets on 8g + 2 vertices.
 * quotient tori: triangulate a (2r + 2)-gon and glue its boundary by the
   usual torus identification.  The left edge of the polygon always maps to
-  a loop, so every single pattern is rejected; the functions exist to make
-  that failure checkable rather than folklore.
+  a loop, so every single pattern is rejected, by proof and without any
+  gluing; the functions exist to make that failure checkable.
 
 The kept strip triangles sit asymmetrically between the hole blocks (one
 before, two between, none after), which kills the end-for-end symmetry and
@@ -20,6 +20,7 @@ lets recovery orient the strip.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .census import iso
@@ -28,7 +29,10 @@ from .errors import InvalidComplexError, QuotientRejected
 
 
 def _check_perm(perm):
-    p = tuple(int(x) for x in perm)
+    try:
+        p = tuple(map(operator.index, perm))
+    except TypeError:  # a non-integer entry, such as 1.9 or "1"
+        p = ()
     if not p or sorted(p) != list(range(1, len(p) + 1)):
         raise InvalidComplexError("need a permutation of 1..g, got %r" % (perm,))
     return p
@@ -319,21 +323,46 @@ def dyck_words(length):
     """All balanced 1/0 words of the given length, lexicographically."""
     if length % 2:
         raise InvalidComplexError("balanced words have even length")
-
-    def rec(prefix, opens, closes):
-        if opens + closes == length:
-            yield "".join(prefix)
+    if length < 0:
+        return
+    half = length // 2
+    word = "10" * half  # the least word
+    while True:
+        yield word
+        # the word is a stack: pop back to the last 0 with a 1 after it, push
+        # a 1 there, then the least completion: close every open 1, then 10s
+        cut = word.rfind("0", 0, word.rfind("1"))
+        if cut < 0:
             return
-        if closes < opens:
-            prefix.append("0")
-            yield from rec(prefix, opens, closes + 1)
-            prefix.pop()
-        if opens < length // 2:
-            prefix.append("1")
-            yield from rec(prefix, opens + 1, closes)
-            prefix.pop()
+        opens = word.count("1", 0, cut) + 1
+        word = (word[:cut] + "1" + "0" * (2 * opens - cut - 1)
+                + "10" * (half - opens))
 
-    yield from rec([], 0, 0)
+
+def _apexes(n, pattern):
+    """Check a pattern for the n-gon and give each 1, in order, its apex.
+
+    The apex of a 1 is the number of 0s read up to and including its
+    matching 0: that many polygon vertices precede it along the rim.
+    """
+    if len(pattern) != 2 * (n - 2) or set(pattern) - {"0", "1"}:
+        raise InvalidComplexError("pattern must be a 1/0 word of length %d"
+                                  % (2 * (n - 2)))
+    apexes = []
+    opened = []  # indices into apexes of the 1s not yet matched
+    zeros = 0
+    for ch in pattern:
+        if ch == "1":
+            opened.append(len(apexes))
+            apexes.append(None)
+        elif opened:
+            zeros += 1
+            apexes[opened.pop()] = zeros
+        else:
+            raise InvalidComplexError("pattern is not balanced")
+    if opened:
+        raise InvalidComplexError("pattern is not balanced")
+    return apexes
 
 
 def triangulation_from_pattern(n, pattern):
@@ -341,36 +370,22 @@ def triangulation_from_pattern(n, pattern):
 
     The word is the preorder walk of the diagonal tree: a triangle on the
     root edge (i, j) with apex k is written 1, then the left part over
-    (i, k), then 0, then the right part over (k, j).
+    (i, k), then 0, then the right part over (k, j).  So i counts the 0s
+    before the 1, and j is the apex of the innermost open 1, or n - 1.
     """
-    if len(pattern) != 2 * (n - 2) or set(pattern) - {"0", "1"}:
-        raise InvalidComplexError("pattern must be a 1/0 word of length %d"
-                                  % (2 * (n - 2)))
-
-    def matching(word):
-        depth = 0
-        for idx, ch in enumerate(word):
-            depth += 1 if ch == "1" else -1
-            if depth == 0:
-                return idx
-        raise InvalidComplexError("pattern is not balanced")
-
-    def rec(i, j, word):
-        if not word:
-            if j != i + 1:
-                raise InvalidComplexError("pattern is not balanced")
-            return ()
-        if word[0] != "1":
-            raise InvalidComplexError("pattern is not balanced")
-        cut = matching(word)
-        left = word[1:cut]
-        right = word[cut + 1:]
-        k = i + 1 + len(left) // 2
-        if k >= j:
-            raise InvalidComplexError("pattern is not balanced")
-        return ((i, k, j),) + rec(i, k, left) + rec(k, j, right)
-
-    return rec(0, n - 1, pattern)
+    apexes = iter(_apexes(n, pattern))
+    ends = [n - 1]  # right ends of the edges whose parts are open
+    zeros = 0
+    tris = []
+    for ch in pattern:
+        if ch == "1":
+            k = next(apexes)
+            tris.append((zeros, k, ends[-1]))
+            ends.append(k)
+        else:
+            zeros += 1
+            ends.pop()
+    return tuple(tris)
 
 
 def torus_from_pattern(r, pattern):
@@ -378,53 +393,30 @@ def torus_from_pattern(r, pattern):
 
     The polygon rim reads u_0 .. u_r along the bottom and back along the
     top, and the quotient identifies u_i with w_i and both ends of each
-    path with each other.  The left edge (u_0, w_0) then joins two
-    identified vertices, so the attempt is rejected for every pattern;
-    the exception says which triangle degenerated first.
+    path with each other, so vertex p goes to class min(p, 2r + 1 - p),
+    with class r merged into class 0.  The first triangle of every pattern
+    is (0, k, 2r + 1), and both 0 and 2r + 1 go to class 0: the left edge
+    (u_0, w_0) joins two identified vertices.  So every valid pattern is
+    rejected at its first triangle, and the exception names it.
     """
     if r < 2:
         raise InvalidComplexError("need r >= 2")
-    n = 2 * r + 2
-    tris = triangulation_from_pattern(n, pattern)
-
-    def cls(p):
-        i = p if p <= r else 2 * r + 1 - p
-        return 0 if i == r else i
-
-    glued = []
-    images = {}
-    for tri in tris:
-        img = tuple(cls(p) for p in tri)
-        if len(set(img)) < 3:
-            raise QuotientRejected(
-                "triangle %r degenerates to %r under the gluing"
-                % (tri, tuple(sorted(set(img)))))
-        f = face_tuple(img)
-        if f in images:
-            raise QuotientRejected(
-                "triangles %r and %r glue to the same image %r"
-                % (images[f], tri, f))
-        images[f] = tri
-        glued.append(f)
-    quotient = SimplicialComplex(glued)
-    sc = quotient.classify_surface()
-    if sc.kind != "closed-surface":
-        raise QuotientRejected("quotient is %s, not a closed surface" % sc.kind)
-    return quotient
+    k = _apexes(2 * r + 2, pattern)[0]
+    i = min(k, 2 * r + 1 - k)
+    raise QuotientRejected("triangle %r degenerates to %r under the gluing"
+                           % ((0, k, 2 * r + 1), (0,) if i == r else (0, i)))
 
 
 def count_torus_outcomes(r):
     """(patterns tried, quotients accepted) over every pattern for this r."""
     total = 0
-    accepted = 0
     for word in dyck_words(4 * r):
         total += 1
         try:
             torus_from_pattern(r, word)
-            accepted += 1
         except QuotientRejected:
             pass
-    return total, accepted
+    return total, 0
 
 
 # -- headline numbers ----------------------------------------------------------
@@ -443,8 +435,8 @@ def lower_bound_table(max_g=3, max_r=4):
 
     Strip and grid families give one surface per permutation (g! of them,
     pairwise nonisomorphic; the tests check that for small g), all of genus
-    g.  The torus quotients contribute nothing because every pattern is
-    rejected, which is the point of listing them.
+    g.  The torus quotients contribute nothing: every pattern's first
+    triangle degenerates, as torus_from_pattern proves.
     """
     rows = []
     for g in range(1, max_g + 1):

@@ -363,6 +363,24 @@ def test_iso_general_search_keeps_one_frame():
     assert cert is not None and cert.check(a, b)
 
 
+def test_iso_general_search_exhausts_to_none():
+    # equal screens (a degree-3 vertex, so no pseudomanifold), but the
+    # degree-3 vertex has two leaf neighbours in a and one in b
+    a = SimplicialComplex([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    b = SimplicialComplex([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    assert a.f_vector() == b.f_vector()
+    assert sorted(len(a.facets_containing((v,))) for v in a.vertices) == \
+        sorted(len(b.facets_containing((v,))) for v in b.vertices)
+    assert brute_iso(a.facets, b.facets) is None
+    assert iso(a, b) is None
+
+
+def test_canonical_label_of_the_empty_complex():
+    empty = SimplicialComplex([])
+    canon, mapping = canonical_label(empty)
+    assert canon.facets == () and mapping == {}
+
+
 def test_fast_paths_honour_their_budgets():
     K = sd_k(octahedron(), 2).complex
     with pytest.raises(BudgetExceededError) as err:

@@ -83,6 +83,27 @@ def test_endo_with_certificate(tmp_path, capsys):
     assert open(cert_path).read() == first
 
 
+def test_verify_cert_rejects_a_tampered_certificate(tmp_path, capsys):
+    oct_path = str(tmp_path / "oct.scx")
+    cert_path = str(tmp_path / "oct.cert")
+    run(capsys, "generate", "octahedron", "-o", oct_path)
+    run(capsys, "endo", oct_path, "--cert", cert_path)
+    lines = open(cert_path).read().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("collapse "))
+    with open(cert_path, "w") as fh:
+        fh.write("\n".join(lines[:last] + lines[last + 1:]) + "\n")
+    code, out, err = run(capsys, "verify-cert", oct_path, cert_path)
+    assert code == 1 and out.startswith("certificate rejected: ")
+
+
+def test_endo_report_refuses_a_non_pure_complex(tmp_path, capsys):
+    path = str(tmp_path / "mixed.scx")
+    write_complex(SimplicialComplex([(0, 1, 2), (2, 3)]), path)
+    code, out, err = run(capsys, "endo", path, "--report")
+    assert (code, out) == (3, "")
+    assert err == "invalid input: endo-collapsibility needs a pure complex\n"
+
+
 def test_endo_jobs_flag_matches_serial(tmp_path, capsys):
     oct_path = str(tmp_path / "oct.scx")
     run(capsys, "generate", "octahedron", "-o", oct_path)
@@ -154,6 +175,14 @@ def test_generate_torus_rejected(capsys):
     code, out, err = run(capsys, "generate", "torus", "-r", "2",
                          "--pattern", "11101000")
     assert code == 1 and "rejected" in err
+
+
+def test_generate_torus_rejects_a_long_pattern(capsys):
+    code, out, err = run(capsys, "generate", "torus", "-r", "600",
+                         "--pattern", "10" * 1200)
+    assert (code, out) == (1, "")
+    assert err == ("rejected: triangle (0, 1, 1201) degenerates to (0, 1) "
+                   "under the gluing\n")
 
 
 def test_iso_exit_codes(tmp_path, capsys):

@@ -187,6 +187,22 @@ def test_endo_collapsible_validates():
         is_endo_collapsible(DISK2, facet=(0, 1))
 
 
+def test_endo_verdicts_past_and_at_the_euler_gate():
+    assert is_endo_collapsible(SimplicialComplex([])).reason == "empty complex"
+    # two triangles: one facet removed leaves euler number 1, the two
+    # boundary circles have 0
+    two = SimplicialComplex([(0, 1, 2), (3, 4, 5)])
+    res = is_endo_collapsible(two, facet=(0, 1, 2))
+    assert (res.verdict, res.reason) == ("no", "euler-obstruction")
+    # two circles pass the euler check (goal: one vertex), but the circle
+    # that keeps all its edges has no free face
+    circles = SimplicialComplex([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    res = is_endo_collapsible(circles, facet=(0, 1), strategy="exhaustive")
+    assert (res.verdict, res.reason) == ("no", "exhausted %d states" % res.nodes)
+    res = is_endo_collapsible(circles, strategy="exhaustive")
+    assert (res.verdict, res.reason) == ("no", "all 6 facets refuted")
+
+
 def test_verify_rejects_tampered_certificates():
     res = is_collapsible(full_simplex(2))
     cert = res.certificate
@@ -215,6 +231,20 @@ def test_sd_endo_report_for_small_sphere():
     assert len(rep.face_verdicts) == 14
     assert all(v == "yes" for _, v, _ in rep.face_verdicts)
     assert rep.conclusion.verdict == "yes"
+
+
+def test_sd_endo_report_refuses_a_non_pure_complex(monkeypatch):
+    # a pure complex has pure links, and sd keeps non-purity, so the
+    # refusal comes before any link is subdivided
+    def refuse(complex):
+        raise AssertionError("sd was called")
+
+    monkeypatch.setattr("scx.subdivision.sd", refuse)
+    for mixed in (SimplicialComplex([(0, 1, 2), (2, 3)]),
+                  SimplicialComplex([(0, 1), (2,)])):
+        with pytest.raises(InvalidComplexError,
+                           match="endo-collapsibility needs a pure complex"):
+            sd_endo_collapsibility_report(mixed)
 
 
 def test_discrete_morse_vectors():

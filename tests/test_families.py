@@ -11,6 +11,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx.census import iso
 from scx.complexes import SimplicialComplex, octahedron
@@ -74,6 +76,14 @@ def test_strip_surface_validates_permutation():
     for bad in ((), (2,), (1, 1), (0, 1)):
         with pytest.raises(InvalidComplexError):
             strip_surface(bad)
+
+
+def test_permutations_must_hold_integers():
+    # no entry is truncated or parsed: 1.9 is not 1, and "1" is not 1
+    for make in (strip_surface, grid_surface):
+        for bad in ((1.9, 2.2), (1.0, 2.0), ("1", "2"), (1, "2"), (1, None)):
+            with pytest.raises(InvalidComplexError, match="permutation of 1..g"):
+                make(bad)
 
 
 def test_strip_surfaces_pairwise_distinct():
@@ -187,6 +197,95 @@ def test_pattern_decode_rejects_malformed_words():
             triangulation_from_pattern(4, bad)
 
 
+def reference_triangulation_from_pattern(n, pattern):
+    """Oracle: the recursive decoder, one call per node on a slice of the word."""
+    if len(pattern) != 2 * (n - 2) or set(pattern) - {"0", "1"}:
+        raise InvalidComplexError("pattern must be a 1/0 word of length %d"
+                                  % (2 * (n - 2)))
+
+    def matching(word):
+        depth = 0
+        for idx, ch in enumerate(word):
+            depth += 1 if ch == "1" else -1
+            if depth == 0:
+                return idx
+        raise InvalidComplexError("pattern is not balanced")
+
+    def rec(i, j, word):
+        if not word:
+            if j != i + 1:
+                raise InvalidComplexError("pattern is not balanced")
+            return ()
+        if word[0] != "1":
+            raise InvalidComplexError("pattern is not balanced")
+        cut = matching(word)
+        left = word[1:cut]
+        right = word[cut + 1:]
+        k = i + 1 + len(left) // 2
+        if k >= j:
+            raise InvalidComplexError("pattern is not balanced")
+        return ((i, k, j),) + rec(i, k, left) + rec(k, j, right)
+
+    return rec(0, n - 1, pattern)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InvalidComplexError as e:
+        return "error: %s" % e
+
+
+def test_pattern_decode_matches_the_recursive_reference():
+    # every word up to the torus polygons of r = 4, n = 10
+    assert triangulation_from_pattern(2, "") == ()
+    for n in range(2, 11):
+        words = list(dyck_words(2 * (n - 2)))
+        assert len(words) == catalan(n - 2)
+        for w in words:
+            assert triangulation_from_pattern(n, w) == \
+                reference_triangulation_from_pattern(n, w)
+
+
+def words_near(n):
+    # mostly words of the right length, so that balance is what gets checked
+    size = max(2 * (n - 2), 0)
+    return st.tuples(st.just(n), st.one_of(
+        st.text("01", min_size=size, max_size=size),
+        st.text("01x", max_size=size + 2)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 9).flatmap(words_near))
+def test_pattern_decode_errors_match_the_reference(case):
+    n, word = case
+    assert outcome(triangulation_from_pattern, n, word) == \
+        outcome(reference_triangulation_from_pattern, n, word)
+
+
+def test_pattern_decode_and_words_run_without_recursion():
+    m = 3998
+    n = m + 2
+    assert triangulation_from_pattern(n, "1" * m + "0" * m) == tuple(
+        (0, t, t + 1) for t in range(m, 0, -1))
+    assert triangulation_from_pattern(n, "10" * m) == tuple(
+        (t - 1, t, n - 1) for t in range(1, m + 1))
+    assert next(dyck_words(4000)) == "10" * 2000
+
+
+def test_dyck_words_in_lexicographic_order():
+    for length in range(0, 17, 2):
+        words = list(dyck_words(length))
+        assert words == sorted(set(words))
+        assert len(words) == catalan(length // 2)
+        assert all(w.count("1") == length // 2 and all(
+            w[:i].count("1") >= w[:i].count("0") for i in range(length))
+            for w in words)
+    assert list(dyck_words(-2)) == []
+    with pytest.raises(InvalidComplexError):
+        next(dyck_words(3))
+
+
 def test_torus_quotient_always_rejected():
     for r in (2, 3):
         for word in dyck_words(4 * r):
@@ -198,6 +297,31 @@ def test_torus_rejection_names_the_degenerate_triangle():
     with pytest.raises(QuotientRejected) as e:
         torus_from_pattern(2, "11101000")
     assert "degenerates" in str(e.value)
+
+
+def reference_torus_rejection(r, word):
+    """Oracle: glue the reference decode, stop at the first degenerate triangle."""
+    def cls(p):
+        i = p if p <= r else 2 * r + 1 - p
+        return 0 if i == r else i
+
+    for tri in reference_triangulation_from_pattern(2 * r + 2, word):
+        img = {cls(p) for p in tri}
+        if len(img) < 3:
+            return "triangle %r degenerates to %r under the gluing" % (
+                tri, tuple(sorted(img)))
+    return None
+
+
+def test_torus_rejection_matches_the_gluing_reference():
+    for r in (2, 3, 4):
+        for word in dyck_words(4 * r):
+            with pytest.raises(QuotientRejected) as e:
+                torus_from_pattern(r, word)
+            assert str(e.value) == reference_torus_rejection(r, word)
+    for r, word in ((1, "1010"), (2, "1010"), (2, "01101010")):
+        with pytest.raises(InvalidComplexError):
+            torus_from_pattern(r, word)
 
 
 def test_count_torus_outcomes():
