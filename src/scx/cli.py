@@ -146,7 +146,7 @@ def cmd_morse(args):
 def cmd_reconstruct(args):
     C = read_complex(args.file)
     try:
-        T = reconstruct(C)
+        T = reconstruct(C, max_nodes=args.budget)
     except NotDerivedSubdivisionError as e:
         print("not a derived subdivision: %s" % e, file=sys.stderr)
         return 1
@@ -238,61 +238,55 @@ def _add_search_flags(p):
     p.add_argument("--cert", help="write the certificate here on success")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="scx",
-        description="Inspect, subdivide, collapse and generate simplicial complexes.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="parse a complex and print a summary")
+def _validate_args(p):
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("sd", help="derived subdivision")
+
+def _sd_args(p):
     p.add_argument("file")
     p.add_argument("-k", type=int, default=1, help="rounds")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_FACETS,
                    help="largest facet count to allow")
-    p.set_defaults(func=cmd_sd)
 
-    p = subs.add_parser("neighborhood",
-                        help="derived neighborhood of a subcomplex")
+
+def _neighborhood_args(p):
     p.add_argument("file")
     p.add_argument("--sub", required=True,
                    help="subcomplex facets, e.g. '0 1 2, 2 3'")
     p.add_argument("-k", type=int, default=1, help="subdivision rounds")
     p.add_argument("-o", "--output")
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_FACETS)
-    p.set_defaults(func=cmd_neighborhood)
 
-    p = subs.add_parser("collapse", help="collapsibility search")
+
+def _collapse_args(p):
     p.add_argument("file")
     p.add_argument("--target", help="collapse onto these facets instead of a point")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_collapse)
 
-    p = subs.add_parser("endo", help="endo-collapsibility search")
+
+def _endo_args(p):
     p.add_argument("file")
     p.add_argument("--facet", help="remove this facet, e.g. '0 1 2'")
     p.add_argument("--report", action="store_true",
                    help="per-face report over subdivided links")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_endo)
 
-    p = subs.add_parser("morse", help="best discrete Morse vector found")
+
+def _morse_args(p):
     p.add_argument("file")
     p.add_argument("--attempts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_morse)
 
-    p = subs.add_parser("reconstruct",
-                        help="invert a derived subdivision if possible")
+
+def _reconstruct_args(p):
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_reconstruct)
+    p.add_argument("--budget", type=int, default=10 ** 6,
+                   help="largest number of seed orderings to try")
 
-    p = subs.add_parser("generate", help="builtin families and shapes")
+
+def _generate_args(p):
     p.add_argument("family", choices=["strip", "grid", "torus", "octahedron",
                                       "simplex", "simplex-boundary"])
     p.add_argument("--perm", default="1",
@@ -301,37 +295,78 @@ def build_parser():
     p.add_argument("--pattern", default="", help="torus triangulation pattern")
     p.add_argument("-d", type=int, default=2, help="simplex dimension")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_generate)
 
-    p = subs.add_parser("iso", help="isomorphism test between two complexes")
+
+def _iso_args(p):
     p.add_argument("file")
     p.add_argument("other")
     p.add_argument("--budget", type=int, default=10 ** 6)
-    p.set_defaults(func=cmd_iso)
 
-    p = subs.add_parser("census", help="closed surface census by vertex count")
+
+def _census_args(p):
     p.add_argument("-n", "--max-vertices", type=int, default=7)
     p.add_argument("--tries", type=int, default=16)
     p.add_argument("--budget", type=int, default=10 ** 5)
-    p.set_defaults(func=cmd_census)
 
-    p = subs.add_parser("verify-cert", help="replay a collapse certificate")
+
+def _verify_cert_args(p):
     p.add_argument("file")
     p.add_argument("cert")
-    p.set_defaults(func=cmd_verify_cert)
 
-    p = subs.add_parser("bounds", help="counting bounds for a facet budget")
+
+def _bounds_args(p):
     p.add_argument("-d", type=int, default=2)
     p.add_argument("-n", "--facets", type=int, default=20)
     p.add_argument("--table", action="store_true",
                    help="also print the family table")
-    p.set_defaults(func=cmd_bounds)
 
+
+# subcommand -> (help, function adding its arguments, handler), in help order
+COMMANDS = {
+    "validate": ("parse a complex and print a summary", _validate_args,
+                 cmd_validate),
+    "sd": ("derived subdivision", _sd_args, cmd_sd),
+    "neighborhood": ("derived neighborhood of a subcomplex",
+                     _neighborhood_args, cmd_neighborhood),
+    "collapse": ("collapsibility search", _collapse_args, cmd_collapse),
+    "endo": ("endo-collapsibility search", _endo_args, cmd_endo),
+    "morse": ("best discrete Morse vector found", _morse_args, cmd_morse),
+    "reconstruct": ("invert a derived subdivision if possible",
+                    _reconstruct_args, cmd_reconstruct),
+    "generate": ("builtin families and shapes", _generate_args, cmd_generate),
+    "iso": ("isomorphism test between two complexes", _iso_args, cmd_iso),
+    "census": ("closed surface census by vertex count", _census_args,
+               cmd_census),
+    "verify-cert": ("replay a collapse certificate", _verify_cert_args,
+                    cmd_verify_cert),
+    "bounds": ("counting bounds for a facet budget", _bounds_args, cmd_bounds),
+}
+
+
+def build_parser(command=None):
+    """The scx parser; given a subcommand name, it registers only that
+    subcommand's parser, with the top-level usage still listing them all."""
+    parser = argparse.ArgumentParser(
+        prog="scx",
+        description="Inspect, subdivide, collapse and generate simplicial complexes.")
+    # without a metavar argparse lists the registered names in the usage and
+    # calls the argument "command" in its errors; a one-command build meets
+    # neither error, so its metavar lists every name for the usage
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, add_arguments, handler) in COMMANDS.items():
+        if command in (None, name):
+            p = subs.add_parser(name, help=summary)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a first word that names a subcommand picks it: help, no arguments
+    # and unknown names need the full parser for argparse's own messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -116,7 +116,7 @@ def _walk_strip_order(start, L, nbrs, ldeg):
     return order
 
 
-def _mid_rings(M, nbrs, mids):
+def _mid_rings(nbrs, mids):
     rings = []
     seen = set()
     for v in sorted(mids, key=_vkey):
@@ -147,7 +147,7 @@ def _decode_apex(M, nbrs, c, g):
     mids = set(M.vertices) - L - {c}
     if len(mids) != 3 * g:
         return None
-    rings = _mid_rings(M, nbrs, mids)
+    rings = _mid_rings(nbrs, mids)
     if rings is None:
         return None
     ldeg = {v: len(nbrs[v] & L) for v in L}
@@ -215,6 +215,11 @@ def recover_strip_permutation(complex):
 # -- grid surfaces ------------------------------------------------------------
 
 
+def _grid_rows(g):
+    """The labels t(j) and b(j) of the j-th top and bottom grid vertices."""
+    return (lambda j: j), (lambda j: 4 * g + 1 + j)
+
+
 def grid_disk(g):
     """Triangulated 1 x 4g grid missing one corner triangle: 8g - 1 facets.
 
@@ -224,13 +229,7 @@ def grid_disk(g):
     """
     if g < 1:
         raise InvalidComplexError("genus must be >= 1")
-
-    def t(j):
-        return j
-
-    def b(j):
-        return 4 * g + 1 + j
-
+    t, b = _grid_rows(g)
     tris = []
     for k in range(1, 4 * g + 1):
         if k <= 2 * g:
@@ -250,12 +249,7 @@ def grid_sphere(g):
 
 
 def _grid_holes(g):
-    def t(j):
-        return j
-
-    def b(j):
-        return 4 * g + 1 + j
-
+    t, b = _grid_rows(g)
     # hole j of the first block sits in square 2j-1, leftmost corner first;
     # hole i of the second block sits in square 2g+2i, rightmost corner first
     first = [(t(2 * j - 2), t(2 * j - 1), b(2 * j - 1)) for j in range(1, g + 1)]

@@ -7,7 +7,8 @@ chain, so its vertices carry ranks 0..L-1 bijectively, and the two vertices
 facing a shared ridge carry the same rank: the ranks of a seed facet fix
 those of its ridge-connected piece, along the spanning tree of ridge
 crossings that the complex's incidence index lists for the piece.  Rank
-recovery searches seed orderings piece by piece, on an explicit stack.
+recovery searches seed orderings piece by piece, on an explicit stack,
+and reconstruct's budget counts the orderings it tries.
 The rank-0 vertices are those of T, and the face of T behind a vertex u
 is the set of rank-0 neighbors of u.
 reconstruct keeps a piece's ranks only if each of its vertices has rank + 1
@@ -20,7 +21,7 @@ the vertex correspondence, are the facets of K.
 import itertools
 
 from .complexes import SimplicialComplex, _maximal
-from .errors import NotDerivedSubdivisionError
+from .errors import BudgetExceededError, NotDerivedSubdivisionError
 
 
 def _rank0_neighbours(facets, ranks):
@@ -35,9 +36,10 @@ def _rank0_neighbours(facets, ranks):
     return below
 
 
-def _rankings(complex, strict):
+def _rankings(complex, strict, tick=lambda: None):
     """rank_colorings' assignments in the same order; with strict, only
-    those whose every piece passes the rank-0 neighbour count."""
+    those whose every piece passes the rank-0 neighbour count.  tick is
+    called once per seed ordering tried."""
     fs = complex.facets
     # per ridge-connected piece: its facets, seed first, and the vertex pairs
     # facing the ridges of its spanning tree
@@ -56,6 +58,7 @@ def _rankings(complex, strict):
         if len(need) != len(free):
             return  # a rank already on the seed repeats or is too large
         for perm in itertools.permutations(sorted(need)):
+            tick()
             ranks.update(zip(free, perm))
             added = list(free)
             for x, y in links:
@@ -119,17 +122,29 @@ def _try_ranks(complex, ranks):
     return None
 
 
-def reconstruct(complex):
+def reconstruct(complex, max_nodes=10 ** 6):
     """Invert a derived subdivision, keeping the rank-0 vertex labels.
 
     Raises NotDerivedSubdivisionError when the complex is not the derived
-    subdivision of anything.
+    subdivision of anything, and BudgetExceededError when the rank search
+    tries more than max_nodes seed orderings over all components.
     """
     if not complex.facets:
         return SimplicialComplex()
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError(
+                "reconstruct tried more than %d seed orderings" % max_nodes,
+                requested=nodes, budget=max_nodes)
+
     pieces = []
     for part in complex.connected_components():
-        tries = (_try_ranks(part, ranks) for ranks in _rankings(part, True))
+        tries = (_try_ranks(part, ranks)
+                 for ranks in _rankings(part, True, tick))
         got = next(filter(None, tries), None)
         if got is None:
             raise NotDerivedSubdivisionError(

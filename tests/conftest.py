@@ -66,3 +66,17 @@ def labelled_complexes(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SimplicialComplex([tuple(names[i] for i in f) for f in raw])
+
+
+def glued_subdivided_triangles(n):
+    """n copies of sd(triangle), built by hand, sharing only their barycentre.
+
+    Copy i has corners c(j) = 6i + 1 + j and, on the edge opposite c(j),
+    the midpoint m(j) = 6i + 4 + j; the barycentre is 0.  Each copy accepts
+    two rank orderings (the true one, and ranks 0 and 1 swapped), and the
+    shared barycentre rejects every combination, so an unbudgeted
+    reconstruct tries about 2^(n+1) orderings.
+    """
+    return SimplicialComplex([(0, 6 * i + 1 + k, 6 * i + 4 + j)
+                              for i in range(n) for j in range(3)
+                              for k in range(3) if k != j])

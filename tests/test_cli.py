@@ -6,13 +6,18 @@ sd facet counts in test_subdivision, census rows in test_census, family
 facts in test_families.
 """
 
+import argparse
 import hashlib
 import subprocess
 import sys
 
-from scx.cli import main
+import pytest
+
+from scx.cli import build_parser, main
 from scx.complexes import SimplicialComplex, octahedron
 from scx.scxio import write_complex
+
+from conftest import glued_subdivided_triangles
 
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
 
@@ -21,6 +26,69 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SUBCOMMANDS = ("validate", "sd", "neighborhood", "collapse", "endo", "morse",
+               "reconstruct", "generate", "iso", "census", "verify-cert",
+               "bounds")
+PARITY_CASES = ([(), ("-h",), ("bogus",), ("--bogus",)]
+                + [(cmd,) + tail for cmd in SUBCOMMANDS
+                   for tail in (("-h",), (), ("--nope",))]
+                + [("endo", "x", "--strategy", "zzz"), ("sd", "x", "-k", "q"),
+                   ("generate", "cube")])
+
+
+def reference_main(argv):
+    """main as it ran when every call built all subcommands' parsers."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 0 if e.code in (0, None) else 3
+    return args.func(args)
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "200"])
+def test_one_subcommand_parser_matches_the_full_parser(columns, monkeypatch,
+                                                       capsys):
+    # help, usage and error text wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in PARITY_CASES:
+        got = run(capsys, *argv)
+        code = reference_main(list(argv))
+        want = capsys.readouterr()
+        assert got == (code, want.out, want.err), argv
+
+
+def test_top_level_usage_errors_are_frozen(monkeypatch, capsys):
+    # the reference above shares build_parser; these bytes do not
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: scx [-h]\n           {%s}\n           ...\n"
+             % ",".join(SUBCOMMANDS))
+    assert run(capsys) == (3, "", usage + "scx: error: the following "
+                           "arguments are required: command\n")
+    assert run(capsys, "census", "--nope") == (
+        3, "", usage + "scx: error: unrecognized arguments: --nope\n")
+
+
+def test_a_command_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
+    disk = str(tmp_path / "disk.scx")
+    write_complex(DISK2, disk)
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv in (("bounds",), ("endo", disk)):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [argv[0]]
+    # an unknown name still gets the full parser and its list of choices
+    calls.clear()
+    assert run(capsys, "bogus")[0] == 3
+    assert calls == list(SUBCOMMANDS)
 
 
 def test_generate_and_validate(tmp_path, capsys):
@@ -162,6 +230,16 @@ def test_reconstruct_roundtrip(tmp_path, capsys):
     assert code == 0 and "facets 8" in out
     code, out, err = run(capsys, "reconstruct", oct_path)
     assert code == 1 and "not a derived subdivision" in err
+
+
+def test_reconstruct_budget_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "glued.scx")
+    write_complex(glued_subdivided_triangles(4), path)
+    code, out, err = run(capsys, "reconstruct", path, "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: reconstruct tried more than 10 seed orderings\n"
+    code, out, err = run(capsys, "reconstruct", path)
+    assert (code, out) == (1, "") and "not a derived subdivision" in err
 
 
 def test_generate_strip_and_grid(tmp_path, capsys):

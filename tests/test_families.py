@@ -7,6 +7,7 @@ isomorphism checker are pinned by their own test modules, so facet counts
 asserted here are frozen arithmetic of the constructions.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -165,6 +166,18 @@ def test_grid_surface_counts_and_type():
 
 def test_grid_surfaces_distinct_for_two_handles():
     assert iso(grid_surface((1, 2)), grid_surface((2, 1))) is None
+
+
+def test_grid_surface_facets_are_frozen():
+    # SHA-256 of the facet lists of grid_surface over every permutation of
+    # 1..g for g = 1, 2, 3, as built when grid_disk and _grid_holes each
+    # defined their own vertex index helpers; the facets must not change
+    h = hashlib.sha256()
+    for g in (1, 2, 3):
+        for perm in itertools.permutations(range(1, g + 1)):
+            h.update(repr(grid_surface(perm).facets).encode())
+    assert h.hexdigest() == (
+        "efc002248cf677e4cf777b67cf2f59a9ba3ac177659b45acced8f62d6a04549b")
 
 
 def test_polygon_triangulation_counts_match_oracle():

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from scx.complexes import (SimplicialComplex, full_simplex, octahedron,
                            simplex_boundary)
 from scx.census import iso
-from scx.errors import NotDerivedSubdivisionError
+from scx.errors import BudgetExceededError, NotDerivedSubdivisionError
 from scx.reconstruct import _rankings, rank_coloring, rank_colorings, reconstruct
 from scx.subdivision import sd, sd_k
 
-from conftest import maximal_faces, random_complex
+from conftest import glued_subdivided_triangles, maximal_faces, random_complex
 
 
 def unwrap(complex):
@@ -165,6 +165,29 @@ def test_bouquet_of_triangles_rejected_at_once():
     with pytest.raises(NotDerivedSubdivisionError):
         reconstruct(K)
     assert time.perf_counter() - start < 1.0
+
+
+def test_reconstruct_budget_stops_an_exponential_search():
+    # about 2^(n+1) seed orderings before the "no": 0.3 s unbudgeted at
+    # n = 12, and out of reach at n = 40
+    for n in (12, 40):
+        K = glued_subdivided_triangles(n)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            reconstruct(K, max_nodes=1000)
+        assert time.perf_counter() - start < 2.0
+        assert (info.value.requested, info.value.budget) == (1001, 1000)
+        assert str(info.value) == "reconstruct tried more than 1000 seed orderings"
+    # the budget counts every ordering tried: 34 suffice for four copies
+    K = glued_subdivided_triangles(4)
+    with pytest.raises(BudgetExceededError):
+        reconstruct(K, max_nodes=33)
+    for budget in (34, 10 ** 6):
+        with pytest.raises(NotDerivedSubdivisionError):
+            reconstruct(K, max_nodes=budget)
+    # one ordering per ridge-connected piece inverts a clean subdivision
+    T = octahedron()
+    assert unwrap(reconstruct(sd(T).complex, max_nodes=1)).facets == T.facets
 
 
 def test_chain_check_rejects_what_the_piece_checks_pass():
