@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, face_tuple, _fkey
-from .collapse import _overall_verdict, is_endo_collapsible
+from .collapse import _overall_verdict, _search_options, is_endo_collapsible
 from .errors import BudgetExceededError, InvalidComplexError
 
 
@@ -463,6 +463,9 @@ def derived_count_bound(d, n_facets):
 
 @dataclass(frozen=True)
 class CensusRow:
+    """One census class: surfaces on n_vertices of one type, with their
+    endo verdict, smallest facet count and counting bound."""
+
     n_vertices: int
     orientable: bool
     genus: int  # handle count when orientable, cross-cap count otherwise
@@ -474,6 +477,7 @@ class CensusRow:
 
 def census(max_vertices, seeds=16, max_nodes=10 ** 5):
     """Census table of closed surfaces by vertex count and topological type."""
+    _search_options("auto", 0, seeds, max_nodes)  # before any enumeration
     rows = []
     for n in range(4, max_vertices + 1):
         groups = {}

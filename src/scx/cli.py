@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .census import census, derived_count_bound, iso, manifold_count_bound
-from .collapse import (DEFAULT_MAX_NODES, DEFAULT_SEEDS, collapses_to,
-                       discrete_morse_vector, is_collapsible,
+from .collapse import (DEFAULT_MAX_NODES, DEFAULT_SEEDS, STRATEGIES,
+                       collapses_to, discrete_morse_vector, is_collapsible,
                        is_endo_collapsible, sd_endo_collapsibility_report)
 from .complexes import (SimplicialComplex, face_tuple, full_simplex,
                         octahedron, simplex_boundary)
@@ -225,8 +225,7 @@ def cmd_bounds(args):
 
 
 def _add_search_flags(p):
-    p.add_argument("--strategy", default="greedy",
-                   choices=["greedy", "lex", "exhaustive", "auto"])
+    p.add_argument("--strategy", default="greedy", choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tries", type=int, default=DEFAULT_SEEDS,
                    help="number of greedy restarts")

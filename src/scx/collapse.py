@@ -9,15 +9,20 @@ subcomplex whose faces are protected, or "point" (any single vertex).  A
 protected face is never the coface of an unprotected free face, so it never
 dies, and the goal is reached once the alive count equals the goal's size.
 
-Three strategies share one engine, built once per public call from the
-input's facets (the input's face cache stays unfilled) and reset between
-rollouts, candidate facets and attempts: "greedy" does seeded random
-rollouts, "lex" is the deterministic least-candidate rollout, "exhaustive"
-is an iterative depth-first search over collapse orders with a
-transposition table keyed by the exact alive-face bitmask, checked before
-each move.  "auto" chains greedy then exhaustive.
-Verdicts are "yes" (with certificate), "no" (proof: an invariant obstruction
-or an exhausted search), or "unknown" (budget or stuck rollouts).
+The three claims (collapses_to, is_collapsible, is_endo_collapsible) check
+their options first (_search_options: a known strategy, seeds and max_nodes
+at least 0), so no shortcut answers a bad call, then share one search path,
+_decide: one Euler rule, chi(faces) - chi(removed facet) = chi(goal) with
+chi(point) = 1; one engine built from the input's facets (whose face cache
+stays unfilled); each candidate facet searched in turn; the first "yes"
+wrapped into its certificate.  Each strategy in STRATEGIES chains stages
+over that engine: "greedy" does seeded random rollouts, "lex" is the
+deterministic least-candidate rollout, "exhaustive" is an iterative
+depth-first search over collapse orders with a transposition table keyed by
+the exact alive-face bitmask, checked before each move, and "auto" is
+greedy then exhaustive.  Verdicts are "yes" (with certificate), "no"
+(proof: an invariant obstruction or an exhausted search), or "unknown"
+(budget or stuck rollouts).
 """
 
 import heapq
@@ -27,6 +32,7 @@ from functools import partial
 
 from .complexes import face_tuple, _closure, _fkey, _vkey
 from .errors import InvalidComplexError
+from .subdivision import sd
 
 DEFAULT_SEEDS = 64
 DEFAULT_MAX_NODES = 10 ** 6
@@ -35,6 +41,8 @@ _SEED_STRIDE = 1000003
 
 @dataclass(frozen=True)
 class CollapsePair:
+    """One elementary collapse: a free face and its unique coface."""
+
     free: tuple
     coface: tuple
 
@@ -58,8 +66,10 @@ class CollapseSequence:
     target_facets: tuple = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollapseResult:
+    """Verdict, reason, the certificate of a "yes" and the DFS node count."""
+
     verdict: str  # "yes" | "no" | "unknown"
     reason: str
     certificate: CollapseSequence = None
@@ -67,10 +77,6 @@ class CollapseResult:
 
     def __bool__(self):
         return self.verdict == "yes"
-
-
-class _Budget(Exception):
-    pass
 
 
 def _face_order_key(f):
@@ -190,8 +196,9 @@ def _least_free(engine):
     return pick
 
 
-def _run_rollout(engine, pick):
-    """Collapse until success, returning the pair index list, or None if stuck."""
+def _run_rollout(engine, removed, pick):
+    """Collapse from a reset less `removed`: pair indices, or None if stuck."""
+    engine.reset(removed)
     out = []
     while engine.n_alive != engine.goal_size:
         i = pick()
@@ -204,7 +211,8 @@ def _run_rollout(engine, pick):
 
 
 def _dfs(engine, max_nodes):
-    """Exhaustive search over collapse orders; True/False, or _Budget raised.
+    """Exhaustive search over collapse orders: (index pairs or None, nodes),
+    where nodes past max_nodes means the budget ran out first.
 
     Depth first with an explicit stack of (alive bitmask, remaining moves,
     undo record of the move in).  A state joins `seen` once every move out
@@ -212,25 +220,21 @@ def _dfs(engine, max_nodes):
     """
     goal = engine.goal_size
     if engine.n_alive == goal:
-        return True, [], 0
-    if max_nodes < 1:
-        raise _Budget()
+        return [], 0
     pairs, seen, nodes = [], set(), 1
     key = sum(1 << i for i, a in enumerate(engine.alive) if a)
     stack = [(key, iter(engine.list_free()), None)]
-    while stack:
+    while stack and nodes <= max_nodes:
         key, moves, entered = stack[-1]
         for i in moves:
             t = engine.unique_coface(i)
             if engine.n_alive - 2 == goal:
                 pairs.append((i, t))
-                return True, pairs, nodes
+                return pairs, nodes
             child = key ^ (1 << i | 1 << t)  # both bits are set
             if child in seen:
                 continue
             nodes += 1
-            if nodes > max_nodes:
-                raise _Budget()
             record = engine.apply_pair(i, t, track=False)
             pairs.append((i, t))
             stack.append((child, iter(engine.list_free()), record))
@@ -241,82 +245,105 @@ def _dfs(engine, max_nodes):
             if entered is not None:
                 engine.undo(entered)
                 pairs.pop()
-    return False, pairs, nodes
+    return None, nodes
 
 
-def _search(engine, strategy, seed, seeds, max_nodes, removed=None):
-    """Shared driver over one engine; `removed` is deleted at every reset."""
+# A stage runs one search over the engine, less the facet `removed`, and
+# gives (verdict, reason, index pairs of a "yes" or None, nodes).
 
-    def pairs_to_faces(idx_pairs):
-        return tuple(CollapsePair(free=engine.faces[i], coface=engine.faces[t])
-                     for i, t in idx_pairs)
-
-    if strategy in ("greedy", "auto"):
-        for attempt in range(seeds):
-            rng = random.Random(seed * _SEED_STRIDE + attempt)
-            engine.reset(removed)
-            got = _run_rollout(engine, partial(engine.pick_free, rng))
-            if got is not None:
-                return CollapseResult("yes", "greedy seed %d" % attempt,
-                                      certificate=pairs_to_faces(got))
-        if strategy == "greedy":
-            return CollapseResult("unknown", "greedy stuck after %d seeds" % seeds)
-
-    if strategy == "lex":
-        engine.reset(removed)
-        got = _run_rollout(engine, _least_free(engine))
+def _greedy(engine, removed, seed, seeds, max_nodes):
+    for attempt in range(seeds):
+        rng = random.Random(seed * _SEED_STRIDE + attempt)
+        got = _run_rollout(engine, removed, partial(engine.pick_free, rng))
         if got is not None:
-            return CollapseResult("yes", "lex", certificate=pairs_to_faces(got))
-        return CollapseResult("unknown", "lex rollout stuck")
-
-    if strategy in ("exhaustive", "auto"):
-        engine.reset(removed)
-        try:
-            ok, idx_pairs, nodes = _dfs(engine, max_nodes)
-        except _Budget:
-            return CollapseResult("unknown", "node budget %d exceeded" % max_nodes,
-                                  nodes=max_nodes)
-        if ok:
-            return CollapseResult("yes", "exhaustive", nodes=nodes,
-                                  certificate=pairs_to_faces(idx_pairs))
-        return CollapseResult("no", "exhausted %d states" % nodes, nodes=nodes)
-
-    raise InvalidComplexError("unknown strategy %r" % (strategy,))
+            return "yes", "greedy seed %d" % attempt, got, 0
+    return "unknown", "greedy stuck after %d seeds" % seeds, None, 0
 
 
-def _finish(result, initial_facets, removed, claim, target_facets=None):
-    if result.verdict == "yes":
-        result.certificate = CollapseSequence(
-            initial_facets=initial_facets,
-            removed_facet=removed,
-            pairs=result.certificate,
-            claim=claim,
-            target_facets=target_facets,
-        )
-    return result
+def _lex(engine, removed, seed, seeds, max_nodes):
+    got = _run_rollout(engine, removed, _least_free(engine))
+    if got is None:
+        return "unknown", "lex rollout stuck", None, 0
+    return "yes", "lex", got, 0
+
+
+def _exhaustive(engine, removed, seed, seeds, max_nodes):
+    engine.reset(removed)
+    got, nodes = _dfs(engine, max_nodes)
+    if got is not None:
+        return "yes", "exhaustive", got, nodes
+    if nodes > max_nodes:
+        return "unknown", "node budget %d exceeded" % max_nodes, None, max_nodes
+    return "no", "exhausted %d states" % nodes, None, nodes
+
+
+# strategy -> its stages: the first "yes" wins, else the last stage's outcome
+_STAGES = {"greedy": (_greedy,), "lex": (_lex,), "exhaustive": (_exhaustive,),
+           "auto": (_greedy, _exhaustive)}
+STRATEGIES = tuple(_STAGES)
+
+
+def _search_options(strategy, seed, seeds, max_nodes):
+    """The options of one search, checked before any shortcut answers."""
+    if strategy not in _STAGES:
+        raise InvalidComplexError("unknown strategy %r" % (strategy,))
+    for name, value in (("seeds", seeds), ("max_nodes", max_nodes)):
+        if value < 0:
+            raise InvalidComplexError("%s must be at least 0, got %d"
+                                      % (name, value))
+    return strategy, seed, seeds, max_nodes
+
+
+def _decide(complex, faces, goal, claim, candidates, options, target=None):
+    """The one search path of the three claims.
+
+    goal is the closed face set to reach, None for one vertex; candidates
+    are the facets to remove first, all of the top dimension, or [None].
+    """
+    strategy, seed, seeds, max_nodes = options
+    # a removed facet takes its (-1)^dim out of the Euler number
+    removed_chi = 0 if candidates[0] is None else (-1) ** complex.dim
+    if _chi(faces) - removed_chi == (1 if goal is None else _chi(goal)):
+        engine = _Engine(faces, goal)
+        verdicts = set()
+        for sigma in candidates:
+            for stage in _STAGES[strategy]:
+                verdict, reason, got, nodes = stage(engine, sigma, seed,
+                                                    seeds, max_nodes)
+                if got is not None:
+                    pairs = tuple(CollapsePair(engine.faces[i], engine.faces[t])
+                                  for i, t in got)
+                    return CollapseResult(verdict, reason, CollapseSequence(
+                        complex.facets, sigma, pairs, claim, target), nodes)
+            verdicts.add(verdict)
+        if len(candidates) == 1:
+            return CollapseResult(verdict, reason, nodes=nodes)
+        if "unknown" in verdicts:
+            return CollapseResult("unknown",
+                                  "no facet confirmed; some runs hit the budget")
+    elif len(candidates) == 1:
+        return CollapseResult("no", "euler-obstruction")
+    return CollapseResult("no", "all %d facets refuted" % len(candidates))
 
 
 def collapses_to(complex, target, strategy="greedy", seed=0,
                  seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse onto the target subcomplex?"""
-    faces, goal = _closure(complex.facets), _closure(target.facets)
+    options = _search_options(strategy, seed, seeds, max_nodes)
+    faces = _closure(complex.facets)
     for F in target.facets:
         if F not in faces:
             raise InvalidComplexError("target facet %r is not a face" % (F,))
-    if _chi(faces) != _chi(goal):
-        return CollapseResult("no", "euler-obstruction")
-    res = _search(_Engine(faces, goal), strategy, seed, seeds, max_nodes)
-    return _finish(res, complex.facets, None, "collapse-to", target.facets)
+    return _decide(complex, faces, _closure(target.facets), "collapse-to",
+                   [None], options, target.facets)
 
 
 def is_collapsible(complex, strategy="greedy", seed=0,
                    seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse down to a single vertex?"""
-    faces = _closure(complex.facets)
-    if _chi(faces) != 1:
-        return CollapseResult("no", "euler-obstruction")
-    res = _search(_Engine(faces), strategy, seed, seeds, max_nodes)
-    return _finish(res, complex.facets, None, "collapsible")
+    options = _search_options(strategy, seed, seeds, max_nodes)
+    return _decide(complex, _closure(complex.facets), None, "collapsible",
+                   [None], options)
 
 
 def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
@@ -326,47 +353,21 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
     When the boundary is empty the goal is a single vertex instead.  With
     facet=None every facet is tried in canonical order until one works.
     """
+    options = _search_options(strategy, seed, seeds, max_nodes)
     if not complex.facets:
         return CollapseResult("yes", "empty complex")
     if not complex.is_pure():
         raise InvalidComplexError("endo-collapsibility needs a pure complex")
     if len(complex.facets) == 1 and complex.dim == 0:
-        return _finish(CollapseResult("yes", "single vertex", certificate=()),
-                       complex.facets, complex.facets[0], "endo-collapsible")
-
-    if facet is not None:
-        sigma = face_tuple(facet)
-        if sigma not in complex.facets:
-            raise InvalidComplexError("%r is not a facet" % (sigma,))
-        candidates = [sigma]
-    else:
-        candidates = list(complex.facets)
-
+        return CollapseResult("yes", "single vertex", CollapseSequence(
+            complex.facets, complex.facets[0], (), "endo-collapsible"))
+    candidates = list(complex.facets) if facet is None else [face_tuple(facet)]
+    if candidates[0] not in complex.facets:
+        raise InvalidComplexError("%r is not a facet" % (candidates[0],))
     bd = complex.boundary()
-    faces = _closure(complex.facets)
-    goal = _closure(bd.facets) if bd.facets else None
-    # every candidate has the top dimension, so all leave the same Euler number
-    if _chi(faces) - (-1) ** complex.dim != (_chi(goal) if goal else 1):
-        if len(candidates) == 1:
-            return CollapseResult("no", "euler-obstruction")
-        return CollapseResult("no", "all %d facets refuted" % len(candidates))
-
-    engine = _Engine(faces, goal)
-    saw_unknown = False
-    last = None
-    for sigma in candidates:
-        res = _search(engine, strategy, seed, seeds, max_nodes, removed=sigma)
-        if res.verdict == "yes":
-            return _finish(res, complex.facets, sigma, "endo-collapsible")
-        if res.verdict == "unknown":
-            saw_unknown = True
-        last = res
-    if len(candidates) == 1:
-        return last
-    if saw_unknown:
-        return CollapseResult("unknown",
-                              "no facet confirmed; some runs hit the budget")
-    return CollapseResult("no", "all %d facets refuted" % len(candidates))
+    return _decide(complex, _closure(complex.facets),
+                   _closure(bd.facets) if bd.facets else None,
+                   "endo-collapsible", candidates, options)
 
 
 def _overall_verdict(verdicts):
@@ -396,8 +397,7 @@ def sd_endo_collapsibility_report(complex, strategy="auto", seed=0,
                                   max_nodes=DEFAULT_MAX_NODES):
     """For every face, test whether the derived subdivision of its link is
     endo-collapsible; then test the derived subdivision of the complex itself."""
-    from .subdivision import sd
-
+    _search_options(strategy, seed, seeds, max_nodes)
     # links of a pure complex are pure and sd keeps non-purity, so a non-pure
     # complex fails the conclusion anyway: refuse it before any link's sd
     if not complex.is_pure():

@@ -418,6 +418,8 @@ def count_torus_outcomes(r):
 
 @dataclass(frozen=True)
 class LowerBoundRow:
+    """How many surface types a family gives at one parameter and size."""
+
     family: str
     parameter: int
     n_facets: int

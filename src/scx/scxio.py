@@ -80,6 +80,7 @@ def canonical_facets(complex):
 
 
 def complex_to_text(complex):
+    """The .scx text of the complex, on its canonical_facets labels."""
     facets = canonical_facets(complex)
     n_vertices = len({v for F in facets for v in F})
     dim = max((len(F) for F in facets), default=0) - 1
@@ -121,6 +122,7 @@ def _header_value(lines, idx, keyword):
 
 
 def complex_from_text(text):
+    """Parse .scx text strictly, naming the line of the first fault."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -181,11 +183,13 @@ def complex_from_text(text):
 
 
 def write_complex(complex, path):
+    """Write complex_to_text(complex) to the file at path."""
     with open(path, "w") as fh:
         fh.write(complex_to_text(complex))
 
 
 def read_complex(path):
+    """Parse the .scx file at path with complex_from_text."""
     with open(path) as fh:
         return complex_from_text(fh.read())
 
@@ -203,6 +207,7 @@ def _int_face_str(face, joiner):
 
 
 def certificate_to_text(cert):
+    """One line per certificate step; needs integer vertex labels."""
     lines = []
     if cert.removed_facet is not None:
         lines.append("remove " + _int_face_str(cert.removed_facet, " "))
@@ -280,10 +285,12 @@ def certificate_from_text(text, complex):
 
 
 def write_certificate(cert, path):
+    """Write certificate_to_text(cert) to the file at path."""
     with open(path, "w") as fh:
         fh.write(certificate_to_text(cert))
 
 
 def read_certificate(path, complex):
+    """Parse the certificate file at path against its complex."""
     with open(path) as fh:
         return certificate_from_text(fh.read(), complex)

@@ -10,10 +10,11 @@ import argparse
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from scx.cli import build_parser, main
+from scx.cli import COMMANDS, build_parser, main
 from scx.complexes import SimplicialComplex, octahedron
 from scx.scxio import write_complex
 
@@ -364,3 +365,72 @@ def test_module_entry_point(tmp_path):
                            "octahedron"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("scx 1\n")
+
+
+# subcommand -> (arguments, exit code, stdout, stderr): each budgeted
+# subcommand on an input where a small --budget or --tries runs out, then
+# negative search budgets, which are usage errors
+BUDGET_CONTRACT = [
+    ("sd", ("sd", "oct.scx", "-k", "3", "--budget", "100"), 2, "",
+     "budget exceeded: subdivision would have 288 facets (budget 100)\n"),
+    ("neighborhood", ("neighborhood", "oct.scx", "--sub", "0", "-k", "2",
+                      "--budget", "100"), 2, "",
+     "budget exceeded: subdivision would have 288 facets (budget 100)\n"),
+    ("collapse", ("collapse", "disk.scx", "--strategy", "exhaustive",
+                  "--budget", "1"), 2,
+     "verdict unknown\nreason node budget 1 exceeded\n", ""),
+    ("endo", ("endo", "oct.scx", "--strategy", "exhaustive", "--budget", "1"),
+     2, "verdict unknown\nreason no facet confirmed; some runs hit the "
+     "budget\n", ""),
+    ("reconstruct", ("reconstruct", "glued.scx", "--budget", "10"), 2, "",
+     "budget exceeded: reconstruct tried more than 10 seed orderings\n"),
+    ("iso", ("iso", "edge-last.scx", "edge-first.scx", "--budget", "1"), 2,
+     "", "budget exceeded: isomorphism search exceeded 1 nodes\n"),
+    # the census reports a search that ran out as an "unknown" cell
+    ("census", ("census", "-n", "5", "--tries", "0", "--budget", "0"), 0,
+     "vertices orientable genus count endo min_facets\n"
+     "4 yes 0 1 unknown 4\n5 yes 0 1 unknown 6\n", ""),
+    ("collapse-tries", ("collapse", "disk.scx", "--tries", "-3"), 3, "",
+     "invalid input: seeds must be at least 0, got -3\n"),
+    ("collapse-budget", ("collapse", "disk.scx", "--strategy", "exhaustive",
+                         "--budget", "-5"), 3, "",
+     "invalid input: max_nodes must be at least 0, got -5\n"),
+    ("endo-tries", ("endo", "oct.scx", "--tries", "-1"), 3, "",
+     "invalid input: seeds must be at least 0, got -1\n"),
+    ("endo-budget", ("endo", "oct.scx", "--report", "--budget", "-1"), 3, "",
+     "invalid input: max_nodes must be at least 0, got -1\n"),
+    ("census-tries", ("census", "-n", "5", "--tries", "-1"), 3, "",
+     "invalid input: seeds must be at least 0, got -1\n"),
+    ("census-budget", ("census", "-n", "3", "--budget", "-1"), 3, "",
+     "invalid input: max_nodes must be at least 0, got -1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err",
+                         [row[1:] for row in BUDGET_CONTRACT],
+                         ids=[row[0] for row in BUDGET_CONTRACT])
+def test_budget_contract(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    inputs = {"oct": octahedron(), "disk": DISK2,
+              "glued": glued_subdivided_triangles(4),
+              # isomorphic, not pure, and written with different facets
+              "edge-last": SimplicialComplex([(0, 1, 2), (2, 3)]),
+              "edge-first": SimplicialComplex([(0, 1), (1, 2, 3)])}
+    for name, C in inputs.items():
+        write_complex(C, str(tmp_path / (name + ".scx")))
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (code, out, err)
+    assert time.perf_counter() - start < 2
+
+
+def test_every_budgeted_subcommand_has_a_contract_row():
+    def options(name):
+        p = argparse.ArgumentParser()
+        COMMANDS[name][1](p)
+        return p.format_help()
+
+    budgeted = {name for name in COMMANDS
+                if "--budget" in options(name) or "--tries" in options(name)}
+    assert budgeted == {"sd", "neighborhood", "collapse", "endo",
+                        "reconstruct", "iso", "census"}
+    assert budgeted <= {row[0] for row in BUDGET_CONTRACT}

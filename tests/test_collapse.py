@@ -1,12 +1,16 @@
 """Collapse search, strategies, certificates, and their independent replay."""
 
+import dataclasses
+import hashlib
 import itertools
 import sys
 import time
 
 import pytest
 
-from scx import InvalidComplexError, SimplicialComplex, full_simplex, octahedron, simplex_boundary
+from scx import (InvalidComplexError, SimplicialComplex, certificate_to_text,
+                 full_simplex, octahedron, polygon_triangulations,
+                 simplex_boundary)
 from scx import collapse
 from scx.collapse import (
     collapses_to,
@@ -239,7 +243,7 @@ def test_sd_endo_report_refuses_a_non_pure_complex(monkeypatch):
     def refuse(complex):
         raise AssertionError("sd was called")
 
-    monkeypatch.setattr("scx.subdivision.sd", refuse)
+    monkeypatch.setattr("scx.collapse.sd", refuse)
     for mixed in (SimplicialComplex([(0, 1, 2), (2, 3)]),
                   SimplicialComplex([(0, 1), (2,)])):
         with pytest.raises(InvalidComplexError,
@@ -385,3 +389,182 @@ def test_dunce_hat_is_not_collapsible():
     res = is_collapsible(hat, strategy="exhaustive")
     assert res.verdict == "no"
     assert res.reason == "exhausted %d states" % res.nodes and res.nodes > 0
+
+
+def hexagon_triangulations():
+    """The 14 triangulations of the hexagon, under one fixed relabeling."""
+    perm = (4, 0, 5, 2, 1, 3)
+    return [SimplicialComplex([[perm[v] for v in T] for T in tri])
+            for tri in polygon_triangulations(6)]
+
+
+# entry point -> call; collapses_to aims at the first facet, and the endo
+# search also runs on the last facet alone
+SEARCH_CALLS = {
+    "collapsible": lambda C, **kw: is_collapsible(C, **kw),
+    "endo": lambda C, **kw: is_endo_collapsible(C, **kw),
+    "endo-last-facet": lambda C, **kw: is_endo_collapsible(
+        C, facet=C.facets[-1], **kw),
+    "collapse-to-first-facet": lambda C, **kw: collapses_to(
+        C, SimplicialComplex([C.facets[0]]), **kw),
+}
+SEARCH_BUDGETS = {"default": {}, "small": {"seeds": 3, "max_nodes": 40}}
+# SHA-256 over (verdict, reason, nodes, certificate text) of every complex of
+# the corpus in turn, taken before the three claims shared one search path
+SEARCH_DIGESTS = {
+    ("collapsible", "greedy", "default"):
+        "96dde9dcfb236fe1c89e9863c5b28ba05d37b9882f5a6a6846a674d15ccb5699",
+    ("collapsible", "greedy", "small"):
+        "90ea739a847b35044f187e1f16d327215f941a75885d3421c6a01cfa030accd5",
+    ("collapsible", "lex", "default"):
+        "24522e35488775f32309e046e315b725c4b442ec70c9f280187ec93c33b866f2",
+    ("collapsible", "lex", "small"):
+        "24522e35488775f32309e046e315b725c4b442ec70c9f280187ec93c33b866f2",
+    ("collapsible", "exhaustive", "default"):
+        "a9ea907f6214bda9da88976e4123e14174da469d12f4170d555446c59ca8dc72",
+    ("collapsible", "exhaustive", "small"):
+        "a2553fba5751db588ec88facb6301caac7a5bba9657ec871ecf6e06cbc44e736",
+    ("collapsible", "auto", "default"):
+        "1ab46aafe1abd90efdd1bdd54324be15f325f483bc7b6f53826862ff5f63c913",
+    ("collapsible", "auto", "small"):
+        "1ab46aafe1abd90efdd1bdd54324be15f325f483bc7b6f53826862ff5f63c913",
+    ("endo", "greedy", "default"):
+        "acd6a66510d32521daea8dd18831d17d7fbaef41b69d6e5d27bf000d974f6edd",
+    ("endo", "greedy", "small"):
+        "acd6a66510d32521daea8dd18831d17d7fbaef41b69d6e5d27bf000d974f6edd",
+    ("endo", "lex", "default"):
+        "67afb9c917eb2bb31f94ef7c462748319df496b5d3ce5c9c8266e1e0db913fd6",
+    ("endo", "lex", "small"):
+        "67afb9c917eb2bb31f94ef7c462748319df496b5d3ce5c9c8266e1e0db913fd6",
+    ("endo", "exhaustive", "default"):
+        "24814278f3c87cc9a081b4f017685ac73e5806d269fc1f2945941a74194aeb59",
+    ("endo", "exhaustive", "small"):
+        "35464fb2011070e398e6f4e4626fb64d5ce5f4242618bc39ee636e407c8afcbb",
+    ("endo", "auto", "default"):
+        "acd6a66510d32521daea8dd18831d17d7fbaef41b69d6e5d27bf000d974f6edd",
+    ("endo", "auto", "small"):
+        "acd6a66510d32521daea8dd18831d17d7fbaef41b69d6e5d27bf000d974f6edd",
+    ("endo-last-facet", "greedy", "default"):
+        "b28a52022aab8dc4c3b4fb60e0680efc2642c8027586ea4c99522bcc52d88613",
+    ("endo-last-facet", "greedy", "small"):
+        "b28a52022aab8dc4c3b4fb60e0680efc2642c8027586ea4c99522bcc52d88613",
+    ("endo-last-facet", "lex", "default"):
+        "abdd39515882c66ad6bb749a5fbf339eecb39e9b688daae696051cd41edcfcc3",
+    ("endo-last-facet", "lex", "small"):
+        "abdd39515882c66ad6bb749a5fbf339eecb39e9b688daae696051cd41edcfcc3",
+    ("endo-last-facet", "exhaustive", "default"):
+        "3bd57be7a56ccf21531d803f9ef65c4b797449ce56fef9ea07b7f1b6525d7213",
+    ("endo-last-facet", "exhaustive", "small"):
+        "6ca093ae3634236326e23841034fd6c8da7561da76921a4dd15d6af0d59ff231",
+    ("endo-last-facet", "auto", "default"):
+        "b28a52022aab8dc4c3b4fb60e0680efc2642c8027586ea4c99522bcc52d88613",
+    ("endo-last-facet", "auto", "small"):
+        "b28a52022aab8dc4c3b4fb60e0680efc2642c8027586ea4c99522bcc52d88613",
+    ("collapse-to-first-facet", "greedy", "default"):
+        "82d17ea48d5a8b70684c3081d1c2609a2f62a18acbbdaf1f850635b986b8589e",
+    ("collapse-to-first-facet", "greedy", "small"):
+        "8b3336d3fccd6f5b613ac13360545913703823460b589cca702c8c86ca751a68",
+    ("collapse-to-first-facet", "lex", "default"):
+        "67c14c2f7781f1288aa301079dcef31bc1328362b420375c6a0c055eb4ad70c0",
+    ("collapse-to-first-facet", "lex", "small"):
+        "67c14c2f7781f1288aa301079dcef31bc1328362b420375c6a0c055eb4ad70c0",
+    ("collapse-to-first-facet", "exhaustive", "default"):
+        "55f94ca1646c953a5d88bd77553e08ffd06deebee442d712d64665de51baaa70",
+    ("collapse-to-first-facet", "exhaustive", "small"):
+        "7b3927d0430ed3dfde9c39a91c8766fb06f70e3b226cfe613aeb696f4ec2134a",
+    ("collapse-to-first-facet", "auto", "default"):
+        "56d3470ebe0ad4cf59de19380b1bc252ffa72451c63481158096d52839299736",
+    ("collapse-to-first-facet", "auto", "small"):
+        "56d3470ebe0ad4cf59de19380b1bc252ffa72451c63481158096d52839299736",
+}
+
+
+def test_search_outputs_are_frozen():
+    """Verdict, reason, node count and certificate bytes of every strategy
+    and entry point, at the default and at a small budget, on a fixed
+    corpus: spheres, balls, normalized subdivisions, the dunce hat and the
+    hexagon's triangulations."""
+    corpus = [octahedron(), simplex_boundary(3), full_simplex(3),
+              sd(octahedron()).complex.normalize(),
+              sd_k(full_simplex(2), 2).complex.normalize(),
+              dunce_hat()] + hexagon_triangulations()
+    got = {}
+    for (entry, strategy, budget) in SEARCH_DIGESTS:
+        digest = hashlib.sha256()
+        for C in corpus:
+            res = SEARCH_CALLS[entry](C, strategy=strategy,
+                                      **SEARCH_BUDGETS[budget])
+            text = certificate_to_text(res.certificate) if res else None
+            digest.update(repr((res.verdict, res.reason, res.nodes,
+                                text)).encode())
+        got[(entry, strategy, budget)] = digest.hexdigest()
+    assert got == SEARCH_DIGESTS
+
+
+def test_the_frozen_outputs_cover_every_strategy_and_entry_point():
+    assert set(SEARCH_DIGESTS) == set(itertools.product(
+        SEARCH_CALLS, collapse.STRATEGIES, SEARCH_BUDGETS))
+
+
+# entry point -> a call whose shortcut (Euler gate, empty complex) would
+# answer without searching
+SHORTCUT_CALLS = {
+    "is_collapsible": lambda **kw: is_collapsible(simplex_boundary(2), **kw),
+    "collapses_to": lambda **kw: collapses_to(
+        full_simplex(2), simplex_boundary(2), **kw),
+    "is_endo_collapsible": lambda **kw: is_endo_collapsible(
+        SimplicialComplex([]), **kw),
+}
+
+
+@pytest.mark.parametrize("entry", SHORTCUT_CALLS)
+def test_an_unknown_strategy_is_refused_before_any_shortcut(entry):
+    with pytest.raises(InvalidComplexError, match="unknown strategy 'bogus'"):
+        SHORTCUT_CALLS[entry](strategy="bogus")
+
+
+@pytest.mark.parametrize("entry", SHORTCUT_CALLS)
+def test_negative_search_budgets_are_refused(entry):
+    call = SHORTCUT_CALLS[entry]
+    with pytest.raises(InvalidComplexError,
+                       match="seeds must be at least 0, got -3"):
+        call(seeds=-3)
+    with pytest.raises(InvalidComplexError,
+                       match="max_nodes must be at least 0, got -5"):
+        call(strategy="exhaustive", max_nodes=-5)
+
+
+def test_the_endo_report_checks_its_options_before_any_subdivision(
+        monkeypatch):
+    monkeypatch.setattr("scx.collapse.sd", None)
+    for bad in ({"seeds": -1}, {"max_nodes": -1}, {"strategy": "bogus"}):
+        with pytest.raises(InvalidComplexError):
+            sd_endo_collapsibility_report(simplex_boundary(2), **bad)
+
+
+def test_zero_search_budgets_stay_valid():
+    # no greedy seed at all: auto goes straight to the exhaustive search
+    res = is_collapsible(full_simplex(2), strategy="auto", seeds=0)
+    assert (res.verdict, res.reason) == ("yes", "exhaustive") and res.nodes > 0
+    res = is_collapsible(full_simplex(2), strategy="greedy", seeds=0)
+    assert (res.verdict, res.reason) == ("unknown", "greedy stuck after 0 seeds")
+
+
+def test_no_collapse_claim_calls_another(monkeypatch):
+    """A tracer that wraps each entry point must see each search once, so
+    no public claim reaches another through the module's names.  The names
+    imported above are the originals."""
+    for name in ("collapses_to", "is_collapsible", "is_endo_collapsible"):
+        monkeypatch.setattr(collapse, name, None)
+    for C in (SimplicialComplex([]), SimplicialComplex([(0,)]), DISK2,
+              octahedron(), sd(full_simplex(2)).complex):
+        for strategy in collapse.STRATEGIES:
+            is_collapsible(C, strategy=strategy)
+            collapses_to(C, C, strategy=strategy)
+            is_endo_collapsible(C, strategy=strategy)
+
+
+def test_search_results_are_frozen():
+    res = is_collapsible(full_simplex(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.certificate = None

@@ -1,11 +1,15 @@
-"""Stdlib lint: every name a module imports is used in that module.
+"""Stdlib lint: every name a module imports is used in that module, no
+module imports inside a function, and every public name has a docstring.
 
 The project depends on no linter, so this walks the syntax trees itself.
-The package __init__ is exempt: its imports are the public re-exports.
+The package __init__ is exempt from the unused-import check: its imports
+are the public re-exports.
 """
 
 import ast
 import pathlib
+
+import scx
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scx"
 
@@ -37,3 +41,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) >= 11
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def imports_in_functions(source):
+    """Lines of the import statements inside function bodies of source."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_checker_sees_imports_in_functions():
+    source = ("import os\ndef f():\n    from json import dumps\n"
+              "    def g():\n        import re\n    return os\n"
+              "class C:\n    def m(self):\n        import math\n")
+    assert imports_in_functions(source) == [3, 5, 9]
+    assert imports_in_functions("import os\ndef f():\n    return os\n") == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = {p.name: imports_in_functions(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    """Read from the source: a dataclass's generated __doc__ only repeats
+    its signature."""
+    docs = {}
+    for p in SRC.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                docs[node.name] = ast.get_docstring(node)
+    assert set(scx.__all__) <= set(docs)
+    assert [name for name in scx.__all__ if not docs[name]] == []
