@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, face_tuple, _fkey
 from .collapse import _overall_verdict, _search_options, is_endo_collapsible
-from .errors import BudgetExceededError, InvalidComplexError
+from .errors import BudgetExceededError, InvalidComplexError, check_budget
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,7 @@ def _certificate(mapping):
 def iso(a, b, max_nodes=10 ** 6):
     """Isomorphism test with certificate; None when not isomorphic.
     Raises BudgetExceededError past max_nodes seeds or search nodes."""
+    check_budget("max_nodes", max_nodes)
     if _screens(a) != _screens(b):
         return None
     if a.facets == b.facets:

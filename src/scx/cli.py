@@ -3,8 +3,10 @@
 Every subcommand reads and writes the plain text complex format.  Exit
 codes are uniform: 0 is success or a positive verdict, 1 a negative
 verdict, 2 an unknown verdict or an exhausted search budget, 3 a usage or
-format problem.  Output depends only on the inputs and flags, never on
-timing, so identical invocations produce identical bytes.
+format problem, a negative budget among them.  The census is a table, not
+a verdict: it prints a search that ran out as an "unknown" cell and exits
+0.  Output depends only on the inputs and flags, never on timing, so
+identical invocations produce identical bytes.
 """
 
 import argparse

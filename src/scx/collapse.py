@@ -23,15 +23,25 @@ the exact alive-face bitmask, checked before each move, and "auto" is
 greedy then exhaustive.  Verdicts are "yes" (with certificate), "no"
 (proof: an invariant obstruction or an exhausted search), or "unknown"
 (budget or stuck rollouts).
+
+The search runs on vertex ranks: each label is ranked once in the universal
+order, faces are tuples of ranks, which hash and sort as plain ints and
+whose native order is the (len, _fkey) order of their labels, and only the
+certificate's faces are mapped back to labels.  Both rollouts run one loop
+that reads the engine's arrays in place and differs only in its picker.
+The exhaustive search keeps the free faces of every open node: a child's
+list is its parent's, edited where the move changed a face's coface count,
+so a node costs the size of that list, not a scan of every face.
 """
 
-import heapq
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import partial
+from heapq import heappop, heappush
+from itertools import chain, combinations, repeat
 
-from .complexes import face_tuple, _closure, _fkey, _vkey
-from .errors import InvalidComplexError
+from .complexes import face_tuple, _fkey, _ridge_map
+from .errors import InvalidComplexError, check_budget
 from .subdivision import sd
 
 DEFAULT_SEEDS = 64
@@ -83,38 +93,61 @@ def _face_order_key(f):
     return (len(f), _fkey(f))
 
 
+def _ranked(complex):
+    """(labels, rank, facets): the vertex labels in the universal order,
+    label -> rank, and the facets as tuples of vertex ranks.  Ranks follow
+    the universal order, so each rank tuple is increasing and rank tuples
+    sort as their label tuples do."""
+    labels = complex.vertices
+    rank = dict(zip(labels, range(len(labels))))
+    return labels, rank, [tuple(map(rank.__getitem__, F))
+                          for F in complex.facets]
+
+
+def _levels(facets):
+    """The nonempty faces of the given facets, one set per face size."""
+    return [set(chain.from_iterable(map(combinations, facets, repeat(k))))
+            for k in range(1, max(map(len, facets), default=0) + 1)]
+
+
+def _chi(levels):
+    return sum(len(level) * (-1) ** k for k, level in enumerate(levels))
+
+
 class _Engine:
     """Mutable collapse state over a fixed, downward-closed face set.
 
-    goal None means "down to one vertex"; otherwise the goal faces are
-    protected.  reset() restores the start state.
+    The faces are rank tuples, given as _levels; index order is (size, rank
+    tuple), the order of (len, _fkey) on the labels, so each level sorts
+    natively.  goal None means "down to one vertex"; otherwise the goal's
+    faces, also given as _levels, are protected.  reset() restores the start
+    state.
     """
 
-    def __init__(self, faces, goal=None):
-        # (len, vertex ranks) is the order of (len, _fkey), with one _vkey call
-        # per vertex instead of one per vertex occurrence
-        rank = {v: r for r, v in enumerate(
-            sorted((f[0] for f in faces if len(f) == 1), key=_vkey))}
-        self.faces = sorted(faces, key=lambda f: (len(f), [rank[v] for v in f]))
-        self.index = {f: i for i, f in enumerate(self.faces)}
-        n = len(self.faces)
-        self.sub = [[] for _ in range(n)]
-        self.sup = [[] for _ in range(n)]
-        for i, f in enumerate(self.faces):
-            if len(f) < 2:
-                continue
-            for pos in range(len(f)):
-                j = self.index[f[:pos] + f[pos + 1:]]
-                self.sub[i].append(j)
-                self.sup[j].append(i)
-        self.protected = frozenset(self.index[f] for f in goal or ())
-        self.goal_size = 1 if goal is None else len(goal)
-        self.up0 = [len(s) for s in self.sup]
+    def __init__(self, levels, goal=None):
+        self.faces = faces = [f for level in levels for f in sorted(level)]
+        self.index = index = dict(zip(faces, range(len(faces))))
+        self.sub = sub = [()] * len(faces)
+        self.sup = sup = [[] for _ in faces]
+        for i in range(len(levels[0]) if levels else 0, len(faces)):
+            f = faces[i]
+            # the face less f[0] first, as for position 0, 1, ... dropped;
+            # combinations drops the last position first
+            s = sub[i] = list(map(index.__getitem__,
+                                  combinations(f, len(f) - 1)))
+            s.reverse()
+            for j in s:
+                sup[j].append(i)
+        self.protected = frozenset(index[f] for level in goal or ()
+                                   for f in level)
+        self.goal_size = 1 if goal is None else sum(map(len, goal))
+        self.up0 = list(map(len, sup))
         self.reset()
 
     def reset(self, removed=None):
-        """Back to the start state, less the facet `removed` if given; the
-        candidates are the free faces in index order, as at build time."""
+        """Back to the start state, less the facet `removed` (a rank tuple)
+        if given; the candidates are the free faces in index order, as at
+        build time."""
         self.alive = bytearray([1]) * len(self.faces)
         self.n_alive = len(self.faces)
         self.up = self.up0[:]
@@ -122,27 +155,9 @@ class _Engine:
             self.apply_delete(self.index[removed], track=False)
         self.cand = self.list_free()
 
-    def pick_free(self, rng):
-        """Uniform pick from the current free faces; stale entries drop out."""
-        cand = self.cand
-        while cand:
-            j = rng.randrange(len(cand))
-            i = cand[j]
-            if self.alive[i] and self.up[i] == 1:
-                return i
-            cand[j] = cand[-1]
-            cand.pop()
-        return None
-
     def list_free(self):
         return [i for i in range(len(self.faces))
                 if self.alive[i] and self.up[i] == 1 and i not in self.protected]
-
-    def unique_coface(self, i):
-        for t in self.sup[i]:
-            if self.alive[t]:
-                return t
-        raise AssertionError("face %r has no alive coface" % (self.faces[i],))
 
     def _kill(self, x, touched, track):
         self.alive[x] = 0
@@ -154,10 +169,10 @@ class _Engine:
                 if track and self.up[r] == 1 and r not in self.protected:
                     self.cand.append(r)
 
-    def apply_pair(self, i, t, track=True):
+    def apply_pair(self, i, t):
         touched = []
-        self._kill(t, touched, track)
-        self._kill(i, touched, track)
+        self._kill(t, touched, False)
+        self._kill(i, touched, False)
         return (i, t, touched)
 
     def apply_delete(self, i, track=True):
@@ -174,39 +189,79 @@ class _Engine:
             self.n_alive += 1
 
 
-def _chi(faces):
-    return sum((-1) ** (len(f) - 1) for f in faces)
+def _collapse(engine, rng, goal):
+    """Collapse from the current state until `goal` faces are alive or no
+    face is free; gives the index pairs applied.
 
-
-def _least_free(engine):
-    """Lex picker: the least free face, from a heap fed by the new tail of
-    engine.cand, which only grows in a lex rollout.  A face that is stale
-    (dead, or with no alive coface) never turns free again, so stale heap
-    entries are dropped for good."""
-    heap, fed = [], 0
-
-    def pick():
-        nonlocal fed
-        for i in engine.cand[fed:]:
-            heapq.heappush(heap, i)
-        fed = len(engine.cand)
-        while heap and not (engine.alive[heap[0]] and engine.up[heap[0]] == 1):
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-    return pick
-
-
-def _run_rollout(engine, removed, pick):
-    """Collapse from a reset less `removed`: pair indices, or None if stuck."""
-    engine.reset(removed)
-    out = []
-    while engine.n_alive != engine.goal_size:
-        i = pick()
-        if i is None:
-            return None
-        t = engine.unique_coface(i)
-        engine.apply_pair(i, t)
+    rng picks uniformly among engine.cand (greedy), dropping stale entries;
+    rng None picks the least free face (lex) from a heap fed by the new tail
+    of engine.cand, which only grows then.  A stale face (dead, or with no
+    alive coface) never turns free again, so stale heap entries are dropped
+    for good.  Every step reads the engine's arrays in place.
+    """
+    alive, up, sub, sup = engine.alive, engine.up, engine.sub, engine.sup
+    cand, protected = engine.cand, engine.protected
+    randrange = rng.randrange if rng is not None else None
+    heap, fed, n, out = [], 0, engine.n_alive, []
+    while n != goal:
+        if randrange is not None:
+            while cand:
+                j = randrange(len(cand))
+                i = cand[j]
+                if alive[i] and up[i] == 1:
+                    break
+                cand[j] = cand[-1]
+                cand.pop()
+            else:
+                break
+        else:
+            for i in cand[fed:]:
+                heappush(heap, i)
+            fed = len(cand)
+            while heap and not (alive[heap[0]] and up[heap[0]] == 1):
+                heappop(heap)
+            if not heap:
+                break
+            i = heap[0]
+        for t in sup[i]:
+            if alive[t]:
+                break
+        for x in (t, i):
+            alive[x] = 0
+            for r in sub[x]:
+                if alive[r]:
+                    up[r] -= 1
+                    if up[r] == 1 and r not in protected:
+                        cand.append(r)
+        n -= 2
         out.append((i, t))
+    engine.n_alive = n
+    return out
+
+
+def _rollout(engine, removed, rng):
+    """Collapse from a reset less `removed` to the goal, picking as
+    _collapse does: index pairs, or None if stuck."""
+    engine.reset(removed)
+    out = _collapse(engine, rng, engine.goal_size)
+    return out if engine.n_alive == engine.goal_size else None
+
+
+def _free_after(engine, free, record):
+    """The free faces, in index order, after the move `record` out of a
+    state whose free faces were `free`.  Only t and the touched faces
+    change: a touched face left with no alive coface (i among them) stops
+    being free, and one left with one starts; free itself is not changed."""
+    _, t, touched = record
+    up = engine.up
+    out = free[:]
+    for x in (t, *(r for r in touched if not up[r])):
+        k = bisect_left(out, x)
+        if k < len(out) and out[k] == x:
+            del out[k]
+    for r in touched:
+        if up[r] == 1 and r not in engine.protected:
+            insort(out, r)
     return out
 
 
@@ -214,20 +269,26 @@ def _dfs(engine, max_nodes):
     """Exhaustive search over collapse orders: (index pairs or None, nodes),
     where nodes past max_nodes means the budget ran out first.
 
-    Depth first with an explicit stack of (alive bitmask, remaining moves,
-    undo record of the move in).  A state joins `seen` once every move out
-    of it has failed, and a move into a seen state is never applied.
+    Depth first with an explicit stack of (alive bitmask, free faces,
+    remaining moves, undo record of the move in).  A child's free faces
+    come from its parent's by _free_after, not from a scan of every face.
+    A state joins `seen` once every move out of it has failed, and a move
+    into a seen state is never applied.
     """
     goal = engine.goal_size
     if engine.n_alive == goal:
         return [], 0
+    alive, sup = engine.alive, engine.sup
     pairs, seen, nodes = [], set(), 1
-    key = sum(1 << i for i, a in enumerate(engine.alive) if a)
-    stack = [(key, iter(engine.list_free()), None)]
+    key = sum(1 << i for i, a in enumerate(alive) if a)
+    free = engine.cand  # reset() listed the free faces
+    stack = [(key, free, iter(free), None)]
     while stack and nodes <= max_nodes:
-        key, moves, entered = stack[-1]
+        key, free, moves, entered = stack[-1]
         for i in moves:
-            t = engine.unique_coface(i)
+            for t in sup[i]:
+                if alive[t]:
+                    break
             if engine.n_alive - 2 == goal:
                 pairs.append((i, t))
                 return pairs, nodes
@@ -235,9 +296,10 @@ def _dfs(engine, max_nodes):
             if child in seen:
                 continue
             nodes += 1
-            record = engine.apply_pair(i, t, track=False)
+            record = engine.apply_pair(i, t)
             pairs.append((i, t))
-            stack.append((child, iter(engine.list_free()), record))
+            free = _free_after(engine, free, record)
+            stack.append((child, free, iter(free), record))
             break
         else:
             seen.add(key)
@@ -253,15 +315,15 @@ def _dfs(engine, max_nodes):
 
 def _greedy(engine, removed, seed, seeds, max_nodes):
     for attempt in range(seeds):
-        rng = random.Random(seed * _SEED_STRIDE + attempt)
-        got = _run_rollout(engine, removed, partial(engine.pick_free, rng))
+        got = _rollout(engine, removed,
+                       random.Random(seed * _SEED_STRIDE + attempt))
         if got is not None:
             return "yes", "greedy seed %d" % attempt, got, 0
     return "unknown", "greedy stuck after %d seeds" % seeds, None, 0
 
 
 def _lex(engine, removed, seed, seeds, max_nodes):
-    got = _run_rollout(engine, removed, _least_free(engine))
+    got = _rollout(engine, removed, None)
     if got is None:
         return "unknown", "lex rollout stuck", None, 0
     return "yes", "lex", got, 0
@@ -287,20 +349,25 @@ def _search_options(strategy, seed, seeds, max_nodes):
     """The options of one search, checked before any shortcut answers."""
     if strategy not in _STAGES:
         raise InvalidComplexError("unknown strategy %r" % (strategy,))
-    for name, value in (("seeds", seeds), ("max_nodes", max_nodes)):
-        if value < 0:
-            raise InvalidComplexError("%s must be at least 0, got %d"
-                                      % (name, value))
+    check_budget("seeds", seeds)
+    check_budget("max_nodes", max_nodes)
     return strategy, seed, seeds, max_nodes
 
 
-def _decide(complex, faces, goal, claim, candidates, options, target=None):
+def _decide(complex, labels, faces, goal, claim, candidates, options,
+            target=None):
     """The one search path of the three claims.
 
-    goal is the closed face set to reach, None for one vertex; candidates
-    are the facets to remove first, all of the top dimension, or [None].
+    faces are the complex's faces and goal those to reach (None for one
+    vertex), both as _levels of rank tuples; candidates are the facets to
+    remove first, rank tuples of the top dimension, or [None].  labels maps
+    ranks back for the certificate.
     """
     strategy, seed, seeds, max_nodes = options
+
+    def label(f):
+        return tuple(map(labels.__getitem__, f))
+
     # a removed facet takes its (-1)^dim out of the Euler number
     removed_chi = 0 if candidates[0] is None else (-1) ** complex.dim
     if _chi(faces) - removed_chi == (1 if goal is None else _chi(goal)):
@@ -311,10 +378,12 @@ def _decide(complex, faces, goal, claim, candidates, options, target=None):
                 verdict, reason, got, nodes = stage(engine, sigma, seed,
                                                     seeds, max_nodes)
                 if got is not None:
-                    pairs = tuple(CollapsePair(engine.faces[i], engine.faces[t])
+                    pairs = tuple(CollapsePair(label(engine.faces[i]),
+                                               label(engine.faces[t]))
                                   for i, t in got)
                     return CollapseResult(verdict, reason, CollapseSequence(
-                        complex.facets, sigma, pairs, claim, target), nodes)
+                        complex.facets, None if sigma is None else label(sigma),
+                        pairs, claim, target), nodes)
             verdicts.add(verdict)
         if len(candidates) == 1:
             return CollapseResult(verdict, reason, nodes=nodes)
@@ -330,11 +399,14 @@ def collapses_to(complex, target, strategy="greedy", seed=0,
                  seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse onto the target subcomplex?"""
     options = _search_options(strategy, seed, seeds, max_nodes)
-    faces = _closure(complex.facets)
+    labels, rank, facets = _ranked(complex)
+    faces, goal = _levels(facets), []
     for F in target.facets:
-        if F not in faces:
+        f = tuple(map(rank.get, F))  # None marks a vertex outside the complex
+        if len(f) > len(faces) or f not in faces[len(f) - 1]:
             raise InvalidComplexError("target facet %r is not a face" % (F,))
-    return _decide(complex, faces, _closure(target.facets), "collapse-to",
+        goal.append(f)
+    return _decide(complex, labels, faces, _levels(goal), "collapse-to",
                    [None], options, target.facets)
 
 
@@ -342,7 +414,8 @@ def is_collapsible(complex, strategy="greedy", seed=0,
                    seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse down to a single vertex?"""
     options = _search_options(strategy, seed, seeds, max_nodes)
-    return _decide(complex, _closure(complex.facets), None, "collapsible",
+    labels, _, facets = _ranked(complex)
+    return _decide(complex, labels, _levels(facets), None, "collapsible",
                    [None], options)
 
 
@@ -361,13 +434,16 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
     if len(complex.facets) == 1 and complex.dim == 0:
         return CollapseResult("yes", "single vertex", CollapseSequence(
             complex.facets, complex.facets[0], (), "endo-collapsible"))
-    candidates = list(complex.facets) if facet is None else [face_tuple(facet)]
-    if candidates[0] not in complex.facets:
-        raise InvalidComplexError("%r is not a facet" % (candidates[0],))
-    bd = complex.boundary()
-    return _decide(complex, _closure(complex.facets),
-                   _closure(bd.facets) if bd.facets else None,
-                   "endo-collapsible", candidates, options)
+    if facet is not None:
+        facet = face_tuple(facet)
+        if facet not in complex.facets:
+            raise InvalidComplexError("%r is not a facet" % (facet,))
+    labels, rank, facets = _ranked(complex)
+    bd = [r for r, fs in _ridge_map(facets).items() if len(fs) == 1]
+    return _decide(complex, labels, _levels(facets),
+                   _levels(bd) if bd else None, "endo-collapsible",
+                   facets if facet is None
+                   else [tuple(map(rank.__getitem__, facet))], options)
 
 
 def _overall_verdict(verdicts):
@@ -433,16 +509,13 @@ def discrete_morse_vector(complex, attempts=16, seed=0):
         return ()
     d = complex.dim
     best = None
-    engine = _Engine(_closure(complex.facets))
+    engine = _Engine(_levels(_ranked(complex)[2]))
     for attempt in range(attempts):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
         engine.reset()
         critical = [0] * (d + 1)
+        _collapse(engine, rng, 0)
         while engine.n_alive:
-            i = engine.pick_free(rng)
-            if i is not None:
-                engine.apply_pair(i, engine.unique_coface(i))
-                continue
             top = max((x for x in range(len(engine.faces)) if engine.alive[x]),
                       key=lambda x: len(engine.faces[x]))
             size = len(engine.faces[top])
@@ -451,6 +524,7 @@ def discrete_morse_vector(complex, attempts=16, seed=0):
             pickx = same[rng.randrange(len(same))]
             engine.apply_delete(pickx)
             critical[size - 1] += 1
+            _collapse(engine, rng, 0)
         vec = tuple(critical)
         if best is None or tuple(reversed(vec)) < tuple(reversed(best)):
             best = vec

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the budget check, shared across the package."""
 
 
 class ScxError(Exception):
@@ -37,3 +37,10 @@ class ScxFormatError(ScxError):
             message = "line %d: %s" % (line_no, message)
         super().__init__(message)
         self.line_no = line_no
+
+
+def check_budget(name, value):
+    """Refuse a negative budget as a usage error, before any work is done."""
+    if value < 0:
+        raise InvalidComplexError("%s must be at least 0, got %d"
+                                  % (name, value))

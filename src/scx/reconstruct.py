@@ -21,7 +21,8 @@ the vertex correspondence, are the facets of K.
 import itertools
 
 from .complexes import SimplicialComplex, _maximal
-from .errors import BudgetExceededError, NotDerivedSubdivisionError
+from .errors import (BudgetExceededError, NotDerivedSubdivisionError,
+                     check_budget)
 
 
 def _rank0_neighbours(facets, ranks):
@@ -129,6 +130,7 @@ def reconstruct(complex, max_nodes=10 ** 6):
     subdivision of anything, and BudgetExceededError when the rank search
     tries more than max_nodes seed orderings over all components.
     """
+    check_budget("max_nodes", max_nodes)
     if not complex.facets:
         return SimplicialComplex()
     nodes = 0

@@ -41,6 +41,7 @@ and never stored: its target_facets stays None.
 
 import itertools
 import re
+from operator import attrgetter
 
 from .collapse import CollapsePair, CollapseSequence
 from .complexes import SimplicialComplex, face_tuple
@@ -50,6 +51,7 @@ MAGIC = "scx 1"
 _INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
 _FACET_BLOCK = re.compile("(?:%s(?: %s)*\n)*" % (_INT, _INT))
+_BLOCK_LINES = 256  # facet lines per _FACET_BLOCK match
 _COMMA_INTS = re.compile("%s(?:,%s)*" % (_INT, _INT))
 
 
@@ -136,9 +138,18 @@ def complex_from_text(text):
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
-    # one match spells every facet line; only if it fails is each line checked
-    # alone, so that the error names the line
-    spelled = _FACET_BLOCK.fullmatch(text, sum(len(line) + 1 for line in lines[:4]))
+    # one match spells each block of facet lines; only if one fails is each
+    # line checked alone, so that the error names the line.  A match's
+    # backtracking memory grows with the text it covers, hence the blocks.
+    start = sum(len(line) + 1 for line in lines[:4])
+    spelled = True
+    for k in range(4, len(lines), _BLOCK_LINES):
+        block = lines[k:k + _BLOCK_LINES]
+        end = start + sum(map(len, block)) + len(block)
+        spelled = _FACET_BLOCK.fullmatch(text, start, end)
+        if not spelled:
+            break
+        start = end
     facets = []
     # vertex -> indices of the earlier facets containing it; two distinct
     # facets of one size cannot nest, so it is kept only if sizes differ
@@ -197,29 +208,30 @@ def read_complex(path):
 # -- certificates -------------------------------------------------------------
 
 
-def _int_face_str(face, joiner):
-    for v in face:
-        if not isinstance(v, int):
-            raise ScxFormatError(
-                "certificate serialization needs integer vertex labels; "
-                "write the complex first to normalize it")
-    return joiner.join(map(str, face))
-
-
 def certificate_to_text(cert):
     """One line per certificate step; needs integer vertex labels."""
+    targets = cert.target_facets if cert.claim == "collapse-to" else None
+    faces = itertools.chain(
+        () if cert.removed_facet is None else (cert.removed_facet,),
+        map(attrgetter("free"), cert.pairs),
+        map(attrgetter("coface"), cert.pairs), targets or ())
+    # the label types of the whole text, checked once
+    types = set(map(type, itertools.chain.from_iterable(faces)))
+    if not all(issubclass(t, int) for t in types):
+        raise ScxFormatError(
+            "certificate serialization needs integer vertex labels; "
+            "write the complex first to normalize it")
     lines = []
     if cert.removed_facet is not None:
-        lines.append("remove " + _int_face_str(cert.removed_facet, " "))
-    for p in cert.pairs:
-        lines.append("collapse %s %s" % (_int_face_str(p.free, ","),
-                                         _int_face_str(p.coface, ",")))
+        lines.append("remove " + " ".join(map(str, cert.removed_facet)))
+    lines.extend("collapse %s %s" % (",".join(map(str, p.free)),
+                                     ",".join(map(str, p.coface)))
+                 for p in cert.pairs)
     lines.append("claim " + cert.claim)
     if cert.claim == "collapse-to":
-        if cert.target_facets is None:
+        if targets is None:
             raise ScxFormatError("collapse-to certificate without a target")
-        for F in cert.target_facets:
-            lines.append("target " + _int_face_str(F, " "))
+        lines.extend("target " + " ".join(map(str, F)) for F in targets)
     return "\n".join(lines) + "\n"
 
 

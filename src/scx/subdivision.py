@@ -19,7 +19,7 @@ import itertools
 import math
 
 from .complexes import SimplicialComplex, face_tuple, _closure, _fkey
-from .errors import BudgetExceededError, InvalidComplexError
+from .errors import BudgetExceededError, InvalidComplexError, check_budget
 
 DEFAULT_MAX_FACETS = 10 ** 7
 
@@ -79,6 +79,7 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
     ranks.  Chain labels are looked up only at the end, so no chain or face
     label is sorted or keyed.
     """
+    check_budget("max_facets", max_facets)
     predicted = _predict_facets(complex)
     if predicted > max_facets:
         raise BudgetExceededError(
@@ -120,6 +121,7 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
 
 def sd_k(complex, k, max_facets=DEFAULT_MAX_FACETS):
     """k rounds of derived subdivision; base of the result is round k-1."""
+    check_budget("max_facets", max_facets)
     if k < 0:
         raise InvalidComplexError("subdivision rounds must be >= 0")
     out = Subdivision(base=complex, complex=complex, rounds=0)
@@ -136,6 +138,7 @@ def derived_neighborhood(complex, sub, k=1, max_facets=DEFAULT_MAX_FACETS):
     after k rounds its chain vertices are literally a subset of the ambient
     chain vertices and membership is plain label lookup.
     """
+    check_budget("max_facets", max_facets)
     if k < 1:
         raise InvalidComplexError("derived neighborhoods need at least one round")
     for F in sub.facets:

@@ -4,20 +4,55 @@ This module deliberately shares no bookkeeping with the search engine or the
 incidence index of SimplicialComplex: it re-expands the face closure itself
 and re-checks freeness of every pair in its own face-to-strict-cofaces map,
 so a bug in the search cannot hide in its own verifier.
+
+Faces are replayed as tuples of vertex ranks, with each label's universal
+sort key computed once instead of face_tuple's once per occurrence.  The
+engine works on ranks too, but replay shares none of its state: it ranks
+the labels of the certificate's own initial facets and reads every pair
+from the certificate's labelled faces, so an engine that mapped a rank
+back wrongly hands over a certificate that names the wrong faces, and
+replay rejects it.  A face naming a vertex outside the initial facets, or
+naming one twice, is read by face_tuple, which raises or leaves the face
+dead just as a replay by labels did.  A label is matched to a vertex by
+equality, as sets match faces, so one of another type that equals a
+vertex's label (1.0 for 1) reads as that vertex.
 """
 
-import itertools
+from itertools import chain, combinations
 
-from .complexes import face_tuple
+from .complexes import _vkey, face_tuple
+from .errors import InvalidComplexError
+
+
+def _ranker(facets):
+    """The function giving a face as its tuple of vertex ranks, or None for
+    a face naming a vertex outside `facets`; it raises on a face that
+    face_tuple refuses."""
+    try:
+        labels = sorted(set(chain.from_iterable(facets)), key=_vkey)
+    except (TypeError, InvalidComplexError):
+        # an unhashable or unsupported label: face_tuple raises on the first
+        # facet holding one, or on an earlier repeated vertex, as before
+        for F in facets:
+            face_tuple(F)
+        raise
+    rank = dict(zip(labels, range(len(labels))))
+
+    def ranks(face):
+        try:
+            f = tuple(sorted(map(rank.__getitem__, face)))
+        except (KeyError, TypeError):
+            f = None
+        if f is None or len(set(f)) < len(f):
+            face_tuple(face)  # raises on a repeated or unsupported label
+            return None
+        return f
+    return ranks
 
 
 def _closure(facets):
-    out = set()
-    for F in facets:
-        f = face_tuple(F)
-        for k in range(1, len(f) + 1):
-            out.update(itertools.combinations(f, k))
-    return out
+    return set(chain.from_iterable(combinations(F, k) for F in facets
+                                   for k in range(1, len(F) + 1)))
 
 
 def _coface_index(faces):
@@ -25,7 +60,7 @@ def _coface_index(faces):
     up = {}
     for tau in faces:
         for k in range(1, len(tau)):
-            for sigma in itertools.combinations(tau, k):
+            for sigma in combinations(tau, k):
                 up.setdefault(sigma, []).append(tau)
     return up
 
@@ -40,8 +75,11 @@ def verify_certificate(cert, complex=None):
     When a complex is passed, its facets must match the certificate's record
     of the starting complex.
     """
-    facets = {face_tuple(F) for F in cert.initial_facets}
-    if complex is not None and facets != set(complex.facets):
+    ranks = _ranker(cert.initial_facets)
+    facets = set(map(ranks, cert.initial_facets))
+    # a complex's facets are canonical, so its own tuple matches itself
+    if (complex is not None and cert.initial_facets is not complex.facets
+            and facets != set(map(ranks, complex.facets))):
         return False, "certificate is for a different complex"
     if cert.claim not in ("collapsible", "collapse-to", "endo-collapsible"):
         return False, "unknown claim %r" % (cert.claim,)
@@ -52,14 +90,15 @@ def verify_certificate(cert, complex=None):
     up = _coface_index(alive)
     removed = None
     if cert.removed_facet is not None:
-        removed = face_tuple(cert.removed_facet)
+        removed = ranks(cert.removed_facet)
         if removed not in facets:
-            return False, "removed face %r is not a facet" % (removed,)
+            return False, "removed face %r is not a facet" % (
+                face_tuple(cert.removed_facet),)
         alive.discard(removed)
 
     for k, pair in enumerate(cert.pairs):
-        sigma = face_tuple(pair.free)
-        tau = face_tuple(pair.coface)
+        sigma = ranks(pair.free)
+        tau = ranks(pair.coface)
         if sigma not in alive or tau not in alive:
             return False, "pair %d names a dead face" % k
         if not (set(sigma) < set(tau) and len(tau) == len(sigma) + 1):
@@ -78,7 +117,8 @@ def verify_certificate(cert, complex=None):
     if cert.claim == "collapse-to":
         if cert.target_facets is None:
             return False, "collapse-to claim without target"
-        if alive == _closure(cert.target_facets):
+        target = [ranks(F) for F in cert.target_facets]
+        if None not in target and alive == _closure(target):
             return True, "collapsed onto the target"
         return False, "terminal state differs from the target"
 
@@ -89,7 +129,7 @@ def verify_certificate(cert, complex=None):
     for F in facets:
         if len(F) < 2:
             continue
-        for r in itertools.combinations(F, len(F) - 1):
+        for r in combinations(F, len(F) - 1):
             count[r] = count.get(r, 0) + 1
     bd = [r for r, c in count.items() if c == 1]
     if bd:

@@ -215,6 +215,13 @@ def test_determine_gluing_validates_input():
         determine_gluing(book, book, ((0, 1, 2), (0, 1, 2)))
 
 
+def test_a_negative_iso_budget_is_refused_before_the_equal_facets_shortcut():
+    with pytest.raises(InvalidComplexError,
+                       match="max_nodes must be at least 0, got -1"):
+        iso(octahedron(), octahedron(), max_nodes=-1)
+    assert iso(octahedron(), octahedron(), max_nodes=0) is not None
+
+
 def test_iso_on_known_pairs():
     s = simplex_boundary(3)
     phi = {v: "v%d" % v for v in s.vertices}

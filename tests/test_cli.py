@@ -403,6 +403,16 @@ BUDGET_CONTRACT = [
      "invalid input: seeds must be at least 0, got -1\n"),
     ("census-budget", ("census", "-n", "3", "--budget", "-1"), 3, "",
      "invalid input: max_nodes must be at least 0, got -1\n"),
+    ("sd-budget", ("sd", "oct.scx", "--budget", "-1"), 3, "",
+     "invalid input: max_facets must be at least 0, got -1\n"),
+    ("neighborhood-budget", ("neighborhood", "oct.scx", "--sub", "0",
+                             "--budget", "-1"), 3, "",
+     "invalid input: max_facets must be at least 0, got -1\n"),
+    # equal facet lists: the budget is checked before that shortcut
+    ("iso-budget", ("iso", "oct.scx", "oct.scx", "--budget", "-1"), 3, "",
+     "invalid input: max_nodes must be at least 0, got -1\n"),
+    ("reconstruct-budget", ("reconstruct", "oct.scx", "--budget", "-1"), 3,
+     "", "invalid input: max_nodes must be at least 0, got -1\n"),
 ]
 
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scx.complexes import (SimplicialComplex, full_simplex, octahedron,
                            simplex_boundary)
 from scx.census import iso
-from scx.errors import BudgetExceededError, NotDerivedSubdivisionError
+from scx.errors import (BudgetExceededError, InvalidComplexError,
+                        NotDerivedSubdivisionError)
 from scx.reconstruct import _rankings, rank_coloring, rank_colorings, reconstruct
 from scx.subdivision import sd, sd_k
 
@@ -165,6 +166,13 @@ def test_bouquet_of_triangles_rejected_at_once():
     with pytest.raises(NotDerivedSubdivisionError):
         reconstruct(K)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_negative_reconstruct_budget_is_refused_before_any_work():
+    for K in (SimplicialComplex(), sd(octahedron()).complex):
+        with pytest.raises(InvalidComplexError,
+                           match="max_nodes must be at least 0, got -1"):
+            reconstruct(K, max_nodes=-1)
 
 
 def test_reconstruct_budget_stops_an_exponential_search():

@@ -6,6 +6,7 @@ writer.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from scx.scxio import (_relabel_once, canonical_facets, certificate_from_text,
                        certificate_to_text, complex_from_text,
                        complex_to_text, read_certificate, read_complex,
                        write_certificate, write_complex)
-from scx.subdivision import sd
+from scx.subdivision import sd, sd_k
 from scx.verify import verify_certificate
 
 from conftest import labelled_complexes, random_complex
@@ -138,6 +139,35 @@ def test_parser_rejects_a_missing_final_newline():
     # a bad line still comes first, named as before
     e = bad("scx 1\ndim 2\nvertices 3\nfacets 1\n0  1 2", 5)
     assert str(e) == "line 5: malformed spacing"
+
+
+def test_reading_a_large_file_takes_bounded_memory():
+    """The 10368 facet lines of sd^4 of the octahedron, 148735 bytes: one
+    spelling match over all of them took 8.7 MB of backtracking memory, a
+    9 MB peak in all; matching them in blocks keeps it under 4 MB."""
+    text = complex_to_text(sd_k(octahedron(), 4).complex)
+    tracemalloc.start()
+    try:
+        C = complex_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(C.facets) == 10368 and len(text) == 148735
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_a_bad_line_past_the_first_block_is_named():
+    text = complex_to_text(sd(sd(octahedron()).complex).complex)
+    lines = text.split("\n")
+    assert len(lines) > 4 + 256 + 10
+    k = 4 + 256 + 7  # in the second block of lines
+    first = lines[k].split(" ")[0]
+    for line, want in (("0" + lines[k], "non-canonical integer %r" % ("0" + first)),
+                       (lines[k].replace(" ", "  ", 1), "malformed spacing")):
+        e = bad("\n".join(lines[:k] + [line] + lines[k + 1:]), k + 1)
+        assert str(e) == "line %d: %s" % (k + 1, want)
+    e = bad(text[:-1], text.count("\n"))
+    assert str(e) == "line %d: missing final newline" % text.count("\n")
 
 
 def test_error_message_carries_line_number():

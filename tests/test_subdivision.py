@@ -83,6 +83,20 @@ def test_sd_budget():
     assert err.requested == math.factorial(8) and err.budget == 1000
 
 
+def test_a_negative_facet_budget_is_refused_before_any_work():
+    """Zero rounds and a sub that is not a face would each answer or raise
+    something else first."""
+    bad = "max_facets must be at least 0, got -1"
+    for call in (lambda: sd(full_simplex(2), max_facets=-1),
+                 lambda: sd_k(full_simplex(2), 0, max_facets=-1),
+                 lambda: derived_neighborhood(
+                     full_simplex(2), SimplicialComplex([(7,)]), k=0,
+                     max_facets=-1)):
+        with pytest.raises(InvalidComplexError, match=bad):
+            call()
+    assert len(sd(full_simplex(2), max_facets=6).complex.facets) == 6
+
+
 def test_derived_neighborhood_of_vertex_in_triangle():
     nb = derived_neighborhood(full_simplex(2), SimplicialComplex([(0,)]))
     assert len(nb.facets) == 2

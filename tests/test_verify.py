@@ -8,6 +8,7 @@ verdict and the same rejection message on every tampered certificate.
 
 import dataclasses
 import itertools
+import re
 import time
 
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scx.collapse import CollapseSequence, is_endo_collapsible
-from scx.complexes import face_tuple, octahedron, simplex_boundary
+from scx.complexes import (SimplicialComplex, face_tuple, octahedron,
+                           simplex_boundary)
+from scx.errors import InvalidComplexError
 from scx.scxio import complex_from_text, complex_to_text
 from scx.subdivision import sd_k
 from scx.verify import verify_certificate
@@ -175,3 +178,37 @@ def test_each_claim_check_names_its_reason():
         cert = CollapseSequence(initial_facets=facets, removed_facet=removed,
                                 pairs=(), claim=claim, target_facets=target)
         assert verify_certificate(cert) == want, (facets, claim)
+
+
+def test_faces_outside_the_ranked_labels_read_as_face_tuple_reads_them():
+    """Replay ranks the labels of the initial facets; any other face goes
+    through face_tuple, which names a repeated or unsupported label, or
+    leaves a face with an unknown vertex dead."""
+    C = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    cert = is_endo_collapsible(C, strategy="lex").certificate
+    first = cert.pairs[0]
+
+    def replay(**change):
+        return verify_certificate(dataclasses.replace(cert, **change), C)
+
+    for bad in ((first.free[0], 9), ("a",), ((7,),)):
+        pairs = (dataclasses.replace(first, free=bad),) + cert.pairs[1:]
+        assert replay(pairs=pairs) == (False, "pair 0 names a dead face")
+    for free, message in (((1, 1), "repeated vertex 1 in face (1, 1)"),
+                          ((1, 2.5), "unsupported vertex label 2.5"),
+                          (([1], 2), "unsupported vertex label [1]")):
+        pairs = (dataclasses.replace(first, free=free),) + cert.pairs[1:]
+        with pytest.raises(InvalidComplexError, match=re.escape(message)):
+            replay(pairs=pairs)
+    assert replay(removed_facet=(1, 2, 9)) == \
+        (False, "removed face (1, 2, 9) is not a facet")
+    # the first bad initial facet is named, as face_tuple meets it
+    for facets, message in ((((0, 0), ([1],)), "repeated vertex 0"),
+                            (((0, 1), (2, {3})), "unsupported vertex label {3}"),
+                            (((0, 1.5), (2, [3])), "unsupported vertex label 1.5")):
+        with pytest.raises(InvalidComplexError, match=re.escape(message)):
+            replay(initial_facets=facets)
+    # a complex whose facets differ, or name other vertices
+    other = SimplicialComplex([(0, 1, 2), (1, 2, 4)])
+    assert verify_certificate(cert, other) == \
+        (False, "certificate is for a different complex")
