@@ -158,9 +158,9 @@ def iso(a, b, max_nodes=10 ** 6):
         # a flag fixes the isomorphism: b's first flag whose walk code ties
         # that of a's first facet in its own order is the answer
         va, vb = a.vertices, b.vertices
-        fa, ta = _walk_table(a, {v: i for i, v in enumerate(va)})
+        fa, ta = _walk_table(a)
         code, label_a, _ = _canon_walk(fa, ta, 0, fa[0], None)
-        fb, tb = _walk_table(b, {v: i for i, v in enumerate(vb)})
+        fb, tb = _walk_table(b)
         for start, G in enumerate(fb):
             for perm in itertools.permutations(G):
                 tick()
@@ -223,11 +223,12 @@ def iso(a, b, max_nodes=10 ** 6):
     return None
 
 
-def _walk_table(complex, index):
-    """Facets as vertex indices, and per facet (facing vertex, neighbour, apex)
-    for each neighbour, read off the incidence index: apex is the neighbour's
-    vertex opposite the shared ridge."""
-    facets = [[index[v] for v in F] for F in complex.facets]
+def _walk_table(complex):
+    """Facets as vertex ranks (SimplicialComplex._ranked), and per facet
+    (facing vertex, neighbour, apex) for each neighbour, read off the
+    incidence index: apex is the neighbour's vertex opposite the shared
+    ridge."""
+    facets = complex._ranked()[2]
     table = [[(F[p], j, facets[j][q]) for p, j, q in row]
              for F, row in zip(facets, complex._incidence()[1])]
     return facets, table
@@ -270,11 +271,11 @@ def canonical_label(complex, budget=10 ** 6):
     Isomorphic complexes produce equal canonical complexes, and
     complex.relabel(mapping) is the canonical one.  Connected pure
     pseudomanifolds keep the smallest walk code over all flags, aborting each
-    walk at its first worse facet; their representatives are canonical but
-    relabeled relative to earlier versions, which sorted full walks.
-    Everything else falls back to color refinement plus bounded within-cell
-    search.  Raises BudgetExceededError when flags or relabelings exceed budget.
+    walk at its first worse facet.  Everything else falls back to color
+    refinement plus bounded within-cell search.  Raises BudgetExceededError
+    when flags or relabelings exceed budget.
     """
+    check_budget("budget", budget)
     if not complex.facets:
         return complex, {}
     if _connected_pm(complex):
@@ -283,7 +284,7 @@ def canonical_label(complex, budget=10 ** 6):
             raise BudgetExceededError("canonical labeling needs %d walks (budget %d)"
                                       % (n_flags, budget), requested=n_flags, budget=budget)
         vertices = complex.vertices
-        facets, table = _walk_table(complex, {v: i for i, v in enumerate(vertices)})
+        facets, table = _walk_table(complex)
         best = best_label = None
         for start, F in enumerate(facets):
             for perm in itertools.permutations(F):

@@ -6,8 +6,10 @@ as having exactly one immediate coface, so freeness is tracked with a single
 counter per face.  An elementary collapse removes a free face together with
 its unique coface.  Searches run against one of two goals: a fixed target
 subcomplex whose faces are protected, or "point" (any single vertex).  A
-protected face is never the coface of an unprotected free face, so it never
-dies, and the goal is reached once the alive count equals the goal's size.
+protected face starts with a coface count that no collapse lowers to 1, so it
+never reads free; its faces are protected too, so it is never the coface of
+a free face either.  So it never dies, and the goal is reached once the
+alive count equals the goal's size.
 
 The three claims (collapses_to, is_collapsible, is_endo_collapsible) check
 their options first (_search_options: a known strategy, seeds and max_nodes
@@ -24,11 +26,11 @@ greedy then exhaustive.  Verdicts are "yes" (with certificate), "no"
 (proof: an invariant obstruction or an exhausted search), or "unknown"
 (budget or stuck rollouts).
 
-The search runs on vertex ranks: each label is ranked once in the universal
-order, faces are tuples of ranks, which hash and sort as plain ints and
-whose native order is the (len, _fkey) order of their labels, and only the
-certificate's faces are mapped back to labels.  Both rollouts run one loop
-that reads the engine's arrays in place and differs only in its picker.
+The search runs on vertex ranks (SimplicialComplex._ranked): faces are
+tuples of ranks, which hash and sort as plain ints in the (len, _fkey) order
+of their labels, and only the certificate's faces are mapped back to labels.
+Both rollouts run one loop that reads the engine's arrays in place and
+differs only in its picker.
 The exhaustive search keeps the free faces of every open node: a child's
 list is its parent's, edited where the move changed a face's coface count,
 so a node costs the size of that list, not a scan of every face.
@@ -38,7 +40,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 
 from .complexes import face_tuple, _fkey, _ridge_map
 from .errors import InvalidComplexError, check_budget
@@ -93,17 +95,6 @@ def _face_order_key(f):
     return (len(f), _fkey(f))
 
 
-def _ranked(complex):
-    """(labels, rank, facets): the vertex labels in the universal order,
-    label -> rank, and the facets as tuples of vertex ranks.  Ranks follow
-    the universal order, so each rank tuple is increasing and rank tuples
-    sort as their label tuples do."""
-    labels = complex.vertices
-    rank = dict(zip(labels, range(len(labels))))
-    return labels, rank, [tuple(map(rank.__getitem__, F))
-                          for F in complex.facets]
-
-
 def _levels(facets):
     """The nonempty faces of the given facets, one set per face size."""
     return [set(chain.from_iterable(map(combinations, facets, repeat(k))))
@@ -120,8 +111,9 @@ class _Engine:
     The faces are rank tuples, given as _levels; index order is (size, rank
     tuple), the order of (len, _fkey) on the labels, so each level sorts
     natively.  goal None means "down to one vertex"; otherwise the goal's
-    faces, also given as _levels, are protected.  reset() restores the start
-    state.
+    faces, also given as _levels, are protected: each starts with 2 more
+    than its coface count, so a face is free exactly when it is alive with
+    a count of 1.  reset() restores the start state.
     """
 
     def __init__(self, levels, goal=None):
@@ -138,10 +130,11 @@ class _Engine:
             s.reverse()
             for j in s:
                 sup[j].append(i)
-        self.protected = frozenset(index[f] for level in goal or ()
-                                   for f in level)
         self.goal_size = 1 if goal is None else sum(map(len, goal))
-        self.up0 = list(map(len, sup))
+        self.up0 = up0 = list(map(len, sup))
+        for level in goal or ():
+            for f in level:
+                up0[index[f]] += 2
         self.reset()
 
     def reset(self, removed=None):
@@ -152,41 +145,33 @@ class _Engine:
         self.n_alive = len(self.faces)
         self.up = self.up0[:]
         if removed is not None:
-            self.apply_delete(self.index[removed], track=False)
+            self.kill(self.index[removed])
         self.cand = self.list_free()
 
     def list_free(self):
         return [i for i in range(len(self.faces))
-                if self.alive[i] and self.up[i] == 1 and i not in self.protected]
+                if self.alive[i] and self.up[i] == 1]
 
-    def _kill(self, x, touched, track):
-        self.alive[x] = 0
-        self.n_alive -= 1
-        for r in self.sub[x]:
-            if self.alive[r]:
-                self.up[r] -= 1
-                touched.append(r)
-                if track and self.up[r] == 1 and r not in self.protected:
-                    self.cand.append(r)
-
-    def apply_pair(self, i, t):
-        touched = []
-        self._kill(t, touched, False)
-        self._kill(i, touched, False)
-        return (i, t, touched)
-
-    def apply_delete(self, i, track=True):
-        touched = []
-        self._kill(i, touched, track)
-        return (i, None, touched)
+    def kill(self, *xs):
+        """Kill the faces xs in turn: (xs, touched), touched listing each
+        alive face whose coface count dropped, once per drop."""
+        alive, up, touched = self.alive, self.up, []
+        for x in xs:
+            alive[x] = 0
+            for r in self.sub[x]:
+                if alive[r]:
+                    up[r] -= 1
+                    touched.append(r)
+        self.n_alive -= len(xs)
+        return xs, touched
 
     def undo(self, record):
-        i, t, touched = record
+        xs, touched = record
         for r in touched:
             self.up[r] += 1
-        for x in ((i,) if t is None else (i, t)):
+        for x in xs:
             self.alive[x] = 1
-            self.n_alive += 1
+        self.n_alive += len(xs)
 
 
 def _collapse(engine, rng, goal):
@@ -200,7 +185,7 @@ def _collapse(engine, rng, goal):
     for good.  Every step reads the engine's arrays in place.
     """
     alive, up, sub, sup = engine.alive, engine.up, engine.sub, engine.sup
-    cand, protected = engine.cand, engine.protected
+    cand = engine.cand
     randrange = rng.randrange if rng is not None else None
     heap, fed, n, out = [], 0, engine.n_alive, []
     while n != goal:
@@ -231,7 +216,7 @@ def _collapse(engine, rng, goal):
             for r in sub[x]:
                 if alive[r]:
                     up[r] -= 1
-                    if up[r] == 1 and r not in protected:
+                    if up[r] == 1:
                         cand.append(r)
         n -= 2
         out.append((i, t))
@@ -249,18 +234,19 @@ def _rollout(engine, removed, rng):
 
 def _free_after(engine, free, record):
     """The free faces, in index order, after the move `record` out of a
-    state whose free faces were `free`.  Only t and the touched faces
-    change: a touched face left with no alive coface (i among them) stops
-    being free, and one left with one starts; free itself is not changed."""
-    _, t, touched = record
+    state whose free faces were `free`.  Only the killed and the touched
+    faces change: a touched face left with no alive coface (the free face of
+    the pair among them) stops being free, and one left with one starts;
+    free itself is not changed."""
+    xs, touched = record
     up = engine.up
     out = free[:]
-    for x in (t, *(r for r in touched if not up[r])):
+    for x in (*xs, *(r for r in touched if not up[r])):
         k = bisect_left(out, x)
         if k < len(out) and out[k] == x:
             del out[k]
     for r in touched:
-        if up[r] == 1 and r not in engine.protected:
+        if up[r] == 1:
             insort(out, r)
     return out
 
@@ -296,7 +282,7 @@ def _dfs(engine, max_nodes):
             if child in seen:
                 continue
             nodes += 1
-            record = engine.apply_pair(i, t)
+            record = engine.kill(t, i)
             pairs.append((i, t))
             free = _free_after(engine, free, record)
             stack.append((child, free, iter(free), record))
@@ -399,7 +385,7 @@ def collapses_to(complex, target, strategy="greedy", seed=0,
                  seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse onto the target subcomplex?"""
     options = _search_options(strategy, seed, seeds, max_nodes)
-    labels, rank, facets = _ranked(complex)
+    labels, rank, facets = complex._ranked()
     faces, goal = _levels(facets), []
     for F in target.facets:
         f = tuple(map(rank.get, F))  # None marks a vertex outside the complex
@@ -414,7 +400,7 @@ def is_collapsible(complex, strategy="greedy", seed=0,
                    seeds=DEFAULT_SEEDS, max_nodes=DEFAULT_MAX_NODES):
     """Does the complex collapse down to a single vertex?"""
     options = _search_options(strategy, seed, seeds, max_nodes)
-    labels, _, facets = _ranked(complex)
+    labels, _, facets = complex._ranked()
     return _decide(complex, labels, _levels(facets), None, "collapsible",
                    [None], options)
 
@@ -438,7 +424,7 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
         facet = face_tuple(facet)
         if facet not in complex.facets:
             raise InvalidComplexError("%r is not a facet" % (facet,))
-    labels, rank, facets = _ranked(complex)
+    labels, rank, facets = complex._ranked()
     bd = [r for r, fs in _ridge_map(facets).items() if len(fs) == 1]
     return _decide(complex, labels, _levels(facets),
                    _levels(bd) if bd else None, "endo-collapsible",
@@ -507,22 +493,23 @@ def discrete_morse_vector(complex, attempts=16, seed=0):
                                   % attempts)
     if not complex.facets:
         return ()
-    d = complex.dim
     best = None
-    engine = _Engine(_levels(_ranked(complex)[2]))
+    levels = _levels(complex._ranked()[2])
+    starts = [0, *accumulate(map(len, levels))]  # index of each size's first
+    engine = _Engine(levels)
     for attempt in range(attempts):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
         engine.reset()
-        critical = [0] * (d + 1)
+        critical = [0] * len(levels)
         _collapse(engine, rng, 0)
         while engine.n_alive:
-            top = max((x for x in range(len(engine.faces)) if engine.alive[x]),
-                      key=lambda x: len(engine.faces[x]))
+            # faces are in size order: the last alive one has the top size
+            top = engine.alive.rindex(1)
             size = len(engine.faces[top])
-            same = [x for x in range(len(engine.faces))
-                    if engine.alive[x] and len(engine.faces[x]) == size]
-            pickx = same[rng.randrange(len(same))]
-            engine.apply_delete(pickx)
+            same = [x for x in range(starts[size - 1], top + 1)
+                    if engine.alive[x]]
+            _, touched = engine.kill(same[rng.randrange(len(same))])
+            engine.cand.extend(r for r in touched if engine.up[r] == 1)
             critical[size - 1] += 1
             _collapse(engine, rng, 0)
         vec = tuple(critical)

@@ -117,7 +117,8 @@ class SimplicialComplex:
     silently.
     """
 
-    __slots__ = ("facets", "_faces", "_by_dim", "_star_index", "_index")
+    __slots__ = ("facets", "_vertices", "_faces", "_by_dim", "_star_index",
+                 "_index")
 
     def __init__(self, facets=()):
         cleaned = {face_tuple(f) for f in facets}
@@ -129,11 +130,7 @@ class SimplicialComplex:
                 warnings.warn("dropping dominated facet %r" % (f,))
         else:
             keep = cleaned
-        self.facets = tuple(sorted(keep, key=_fkey))
-        self._faces = None
-        self._by_dim = None
-        self._star_index = None
-        self._index = None
+        self._store(tuple(sorted(keep, key=_fkey)))
 
     @classmethod
     def _canonical(cls, facets):
@@ -144,15 +141,17 @@ class SimplicialComplex:
         in another, and the sequence is sorted by _fkey.  Only callers that
         prove all four may use this; input from outside the program goes
         through __init__.  The callers are the .scx parser, star,
-        connected_components and sd, each with its proof where it calls.
+        connected_components, normalize and sd, each with its proof where it
+        calls.
         """
         self = cls.__new__(cls)
-        self.facets = tuple(facets)
-        self._faces = None
-        self._by_dim = None
-        self._star_index = None
-        self._index = None
+        self._store(tuple(facets))
         return self
+
+    def _store(self, facets):
+        self.facets = facets
+        self._vertices = self._faces = self._by_dim = None
+        self._star_index = self._index = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -162,10 +161,26 @@ class SimplicialComplex:
 
     @property
     def vertices(self):
-        vs = set()
-        for F in self.facets:
-            vs.update(F)
-        return tuple(sorted(vs, key=_vkey))
+        """The vertex labels in the universal order, sorted once."""
+        if self._vertices is None:
+            self._vertices = tuple(sorted({v for F in self.facets for v in F},
+                                          key=_vkey))
+        return self._vertices
+
+    def _ranked(self):
+        """(labels, rank, facets): the vertices, label -> rank, and the
+        facets as tuples of vertex ranks; built afresh on each call.
+
+        Ranks follow the universal order of the labels, so each facet's rank
+        tuple is increasing, and rank tuples sort as their label tuples do
+        under _fkey; (len, rank tuple) orders faces as (len, _fkey) orders
+        them.  The facets are not cached: many small live complexes would
+        hold one list each.
+        """
+        labels = self.vertices
+        rank = dict(zip(labels, range(len(labels))))
+        return labels, rank, [tuple(map(rank.__getitem__, F))
+                              for F in self.facets]
 
     @property
     def n_vertices(self):
@@ -339,7 +354,9 @@ class SimplicialComplex:
 
     def normalize(self):
         """Relabel vertices to 0..n-1 following the universal label order."""
-        return self.relabel({v: i for i, v in enumerate(self.vertices)})
+        # the ranked facets are canonical: ranks follow the label order, and
+        # an int label's _vkey orders as the int does (see _ranked)
+        return SimplicialComplex._canonical(self._ranked()[2])
 
     # -- connectivity and duality ----------------------------------------
 
@@ -453,27 +470,14 @@ class SimplicialComplex:
                 return fail()
             if ends:
                 closed = False
-        orient = self.orientation()
-        orientable = orient is not None
-        if closed:
-            if orientable:
-                return SurfaceClass(
-                    kind="closed-surface", euler_characteristic=chi,
-                    orientable=True, genus=(2 - chi) // 2,
-                )
-            return SurfaceClass(
-                kind="closed-surface", euler_characteristic=chi,
-                orientable=False, cross_caps=2 - chi,
-            )
-        b = len(self.boundary().connected_components())
-        if orientable:
-            return SurfaceClass(
-                kind="surface-with-boundary", euler_characteristic=chi,
-                orientable=True, genus=(2 - chi - b) // 2, boundary_components=b,
-            )
+        orientable = self.orientation() is not None
+        b = 0 if closed else len(self.boundary().connected_components())
+        twice = 2 - chi - b  # twice the genus, or the cross-cap count
         return SurfaceClass(
-            kind="surface-with-boundary", euler_characteristic=chi,
-            orientable=False, cross_caps=2 - chi - b, boundary_components=b,
+            kind="closed-surface" if closed else "surface-with-boundary",
+            euler_characteristic=chi, orientable=orientable,
+            genus=twice // 2 if orientable else None,
+            cross_caps=None if orientable else twice, boundary_components=b,
         )
 
     # -- dunder -----------------------------------------------------------

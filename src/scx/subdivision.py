@@ -8,11 +8,10 @@ sum_F (dim F + 1)! facets.  Chain vertices keep their face-of-the-base labels,
 which is what lets neighborhoods and repeated rounds line up without any
 renaming; normalize() flattens the labels when ints are wanted.
 
-sd() sorts labels once, the base vertices in the universal order, and
-works on ranks from there: every base face is ranked once as its tuple of
-vertex ranks, each chain is an increasing tuple of face ranks, the chains
-are sorted once and handed to the complex through
-SimplicialComplex._canonical (proof in sd).
+sd() works on the base's vertex ranks (SimplicialComplex._ranked): every
+base face is ranked once as its tuple of vertex ranks, each chain is an
+increasing tuple of face ranks, the chains are sorted once and handed to
+the complex through SimplicialComplex._canonical (proof in sd).
 """
 
 import itertools
@@ -74,10 +73,9 @@ def _chain_shape(n):
 def sd(complex, max_facets=DEFAULT_MAX_FACETS):
     """Derived subdivision, as a Subdivision object.
 
-    Each base vertex gets its rank in the universal label order and each base
-    face the rank of its tuple of vertex ranks; a chain is a tuple of face
-    ranks.  Chain labels are looked up only at the end, so no chain or face
-    label is sorted or keyed.
+    Each base face gets the rank of its tuple of vertex ranks; a chain is a
+    tuple of face ranks.  Chain labels are looked up only at the end, so no
+    chain or face label is sorted or keyed.
     """
     check_budget("max_facets", max_facets)
     predicted = _predict_facets(complex)
@@ -86,9 +84,7 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
             "subdivision would have %d facets (budget %d)" % (predicted, max_facets),
             requested=predicted, budget=max_facets,
         )
-    verts = complex.vertices  # in _vkey order
-    at = {v: i for i, v in enumerate(verts)}
-    ranked = [tuple(map(at.__getitem__, F)) for F in complex.facets]
+    verts, _, ranked = complex._ranked()
     faces = sorted(_closure(ranked))
     rank = {f: r for r, f in enumerate(faces)}
     shapes, chains = {}, []
@@ -100,19 +96,19 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
         chains.extend(tuple(map(table.__getitem__, c)) for c in shape)
     chains.sort()
     # The facets handed over meet the four conditions of _canonical:
-    # - strictly increasing: ranks follow label order.  A facet is increasing
-    #   in _vkey, so its vertex ranks increase, and position subsets, taken
-    #   in order, compare as the vertex-rank tuples of the faces they pick.
-    #   Those tuples are ranked in _fkey order of the faces, and a face label
-    #   is a tuple keyed (2, _fkey), so face ranks follow the _vkey order of
-    #   chain labels.  A shape chain lists its distinct prefixes by
-    #   increasing subset index, so their ranks increase.
+    # - strictly increasing: a facet's vertex ranks increase (_ranked), and
+    #   position subsets, taken in order, compare as the vertex-rank tuples
+    #   of the faces they pick.  Those tuples sort as the faces do under
+    #   _fkey, and a face label is a tuple keyed (2, _fkey), so face ranks
+    #   follow the _vkey order of chain labels.  A shape chain lists its
+    #   distinct prefixes by increasing subset index, so their ranks
+    #   increase.
     # - distinct: a chain of F holds F and only faces of F, and no other
     #   facet contains F; within F, an ordering is read off its prefixes.
     # - unnested: a chain of F inside a chain of G puts F inside G, so
     #   F = G, and both chains have len(F) elements.
-    # - _fkey order: rank tuples sort as their label tuples do, because
-    #   ranks follow _vkey order.
+    # - _fkey order: face ranks follow _vkey order, so rank tuples sort as
+    #   their label tuples do.
     labels = [tuple(map(verts.__getitem__, f)) for f in faces]
     facets = [tuple(map(labels.__getitem__, c)) for c in chains]
     return Subdivision(base=complex, complex=SimplicialComplex._canonical(facets),

@@ -3,11 +3,16 @@
 A BENCH file records scxbench/run.py on every workload of BENCHMARK.json at
 one seed: for each workload, the `# meta` line and the last JSON line of a
 `--trace 0` run (the end-to-end metrics) and of a `--trace 1` run (the
-per-layer metrics).
+per-layer metrics).  The per-layer metrics come from spans that
+scxbench/tracer.py wraps around named bindings in the package, so every
+binding it names must exist.
 """
 
+import importlib.util
 import json
 import pathlib
+
+from scx.complexes import SimplicialComplex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,3 +35,15 @@ def test_bench_files_name_every_benchmark_metric():
                 assert run["result"]["correct"], path.name
                 missing = [n for n in names if n not in run["result"]["metrics"]]
                 assert not missing, (path.name, workload["name"], missing)
+
+
+def test_every_traced_binding_exists():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "scxbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name, _ in tracer.FUNCTIONS:
+        assert hasattr(importlib.import_module("scx." + module), name), (
+            module, name)
+    for name, _ in tracer.METHODS:
+        assert name in SimplicialComplex.__dict__, name

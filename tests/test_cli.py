@@ -14,9 +14,15 @@ import time
 
 import pytest
 
+from scx.census import canonical_label, census, iso
 from scx.cli import COMMANDS, build_parser, main
+from scx.collapse import (collapses_to, is_collapsible, is_endo_collapsible,
+                          sd_endo_collapsibility_report)
 from scx.complexes import SimplicialComplex, octahedron
-from scx.scxio import write_complex
+from scx.errors import InvalidComplexError
+from scx.reconstruct import reconstruct
+from scx.scxio import write_certificate, write_complex
+from scx.subdivision import derived_neighborhood, sd, sd_k
 
 from conftest import glued_subdivided_triangles
 
@@ -369,7 +375,8 @@ def test_module_entry_point(tmp_path):
 
 # subcommand -> (arguments, exit code, stdout, stderr): each budgeted
 # subcommand on an input where a small --budget or --tries runs out, then
-# negative search budgets, which are usage errors
+# negative search budgets, which are usage errors, then each unbudgeted
+# subcommand on one hostile input
 BUDGET_CONTRACT = [
     ("sd", ("sd", "oct.scx", "-k", "3", "--budget", "100"), 2, "",
      "budget exceeded: subdivision would have 288 facets (budget 100)\n"),
@@ -413,6 +420,18 @@ BUDGET_CONTRACT = [
      "invalid input: max_nodes must be at least 0, got -1\n"),
     ("reconstruct-budget", ("reconstruct", "oct.scx", "--budget", "-1"), 3,
      "", "invalid input: max_nodes must be at least 0, got -1\n"),
+    ("validate", ("validate", "bad.scx"), 3, "",
+     "format error: line 1: first line must be 'scx 1'\n"),
+    ("morse", ("morse", "oct.scx", "--attempts", "0"), 3, "",
+     "invalid input: attempts must be at least 1, got 0\n"),
+    ("generate", ("generate", "strip", "--perm", "1 1"), 3, "",
+     "invalid input: need a permutation of 1..g, got (1, 1)\n"),
+    # the disk's collapse pairs replayed on the octahedron
+    ("verify-cert", ("verify-cert", "oct.scx", "disk.cert"), 1,
+     "certificate rejected: pair 0 names a dead face\n", ""),
+    ("bounds", ("bounds", "-d", "-1"), 3, "",
+     "invalid input: bounds need d >= 0 and n_facets >= 0, got d=-1, "
+     "n_facets=20\n"),
 ]
 
 
@@ -427,6 +446,9 @@ def test_budget_contract(argv, code, out, err, tmp_path, monkeypatch, capsys):
               "edge-first": SimplicialComplex([(0, 1), (1, 2, 3)])}
     for name, C in inputs.items():
         write_complex(C, str(tmp_path / (name + ".scx")))
+    (tmp_path / "bad.scx").write_text("nonsense\n")
+    write_certificate(is_collapsible(DISK2).certificate,
+                      str(tmp_path / "disk.cert"))
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     assert run(capsys, *argv) == (code, out, err)
@@ -443,4 +465,47 @@ def test_every_budgeted_subcommand_has_a_contract_row():
                 if "--budget" in options(name) or "--tries" in options(name)}
     assert budgeted == {"sd", "neighborhood", "collapse", "endo",
                         "reconstruct", "iso", "census"}
-    assert budgeted <= {row[0] for row in BUDGET_CONTRACT}
+    assert set(COMMANDS) <= {row[0] for row in BUDGET_CONTRACT}
+
+
+EMPTY = SimplicialComplex()
+
+# budgeted public function -> (call with a negative budget, message): each
+# refuses it before any work, even on the empty complex, where most of them
+# otherwise answer at once
+API_BUDGET_CONTRACT = [
+    ("sd", lambda: sd(EMPTY, max_facets=-1),
+     "max_facets must be at least 0, got -1"),
+    ("sd_k", lambda: sd_k(EMPTY, 1, max_facets=-1),
+     "max_facets must be at least 0, got -1"),
+    ("derived_neighborhood",
+     lambda: derived_neighborhood(EMPTY, EMPTY, max_facets=-1),
+     "max_facets must be at least 0, got -1"),
+    ("collapses_to", lambda: collapses_to(EMPTY, EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("is_collapsible", lambda: is_collapsible(EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("is_endo_collapsible", lambda: is_endo_collapsible(EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("sd_endo_collapsibility_report",
+     lambda: sd_endo_collapsibility_report(EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("reconstruct", lambda: reconstruct(EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("iso", lambda: iso(EMPTY, EMPTY, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+    ("canonical_label", lambda: canonical_label(EMPTY, budget=-1),
+     "budget must be at least 0, got -1"),
+    # no vertex count to enumerate: the check comes first all the same
+    ("census", lambda: census(3, max_nodes=-1),
+     "max_nodes must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [row[1:] for row in API_BUDGET_CONTRACT],
+                         ids=[row[0] for row in API_BUDGET_CONTRACT])
+def test_budgeted_functions_refuse_a_negative_budget(call, message):
+    with pytest.raises(InvalidComplexError) as e:
+        call()
+    assert str(e.value) == message

@@ -1,7 +1,11 @@
 """Core complex type: construction, closure, local operations, surfaces."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+
+import scx.complexes
 from scx import (
     InvalidComplexError,
     SimplicialComplex,
@@ -11,6 +15,8 @@ from scx import (
     octahedron,
     simplex_boundary,
 )
+
+from conftest import labelled_complexes
 
 # 6-vertex projective plane: every edge on exactly two of these ten triangles
 RP2_FACETS = [
@@ -140,6 +146,31 @@ def test_relabel_and_normalize():
     # label order is lexicographic, so the chain vertex (0,1) lands between (0,) and (1,)
     chains = SimplicialComplex([((0,), (0, 1)), ((1,), (0, 1))])
     assert chains.normalize().facets == ((0, 1), (1, 2))
+
+
+def test_vertices_are_sorted_once():
+    C = SimplicialComplex([(0, "a", (1, "b")), ("a", 2), ((0, ""),)])
+    vs = C.vertices
+    assert vs == (0, 2, "a", (0, ""), (1, "b"))
+
+    def refuse(v):
+        raise AssertionError("the vertex labels were sorted again")
+
+    with mock.patch.object(scx.complexes, "_vkey", refuse):
+        assert C.vertices is vs and C.n_vertices == 5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(labelled_complexes())
+def test_normalize_is_the_relabeling_by_rank(C):
+    want = C.relabel({v: i for i, v in enumerate(C.vertices)})
+
+    def refuse(*args):
+        raise AssertionError("normalize checked its facets label by label")
+
+    with mock.patch.object(SimplicialComplex, "__init__", refuse):
+        got = C.normalize()
+    assert got.facets == want.facets and got.vertices == want.vertices
 
 
 def test_connectivity():
