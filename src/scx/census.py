@@ -7,10 +7,20 @@ of the opposite vertex, which each walk reads off the incidence index.
 determine_gluing walks from one ordered seed facet.  canonical_label walks
 from every flag (a facet and an order of its vertices), numbering vertices
 as it meets them, and keeps the smallest walk code, each facet's sorted
-labels in the order reached; a walk stops at its first entry above the best
-code's.  The code depends only on the flag up to isomorphism and lists every
-facet: a canonical form.  So iso compares b's flags, in order, against one
-walk from a's first facet; the first tie fixes the isomorphism.
+labels in the order reached.  The code depends only on the flag up to
+isomorphism and lists every facet: a canonical form.  So iso compares b's
+flags, in order, against one walk from a's first facet; the first tie fixes
+the isomorphism.
+
+Both run one walk routine, _canon_walk, with two stop rules.
+canonical_label stops a walk at its first entry above the best code's, and
+iso at its first entry unequal to a's.  A flag ties in full under one rule
+exactly when it does under the other, so iso's certificate is the first
+full tie either way.  Most flags never start a walk: a flag's second entry
+depends on its start facet and vertex order alone (see _flags), so
+canonical_label skips a flag whose second entry is above the best code's,
+and iso one whose second entry differs from a's.  Either walk would have
+stopped right there.
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
@@ -110,10 +120,9 @@ def determine_gluing(a, b, seed):
 
 
 def _vertex_signature(complex):
-    sig = {}
-    for v in complex.vertices:
-        sig[v] = tuple(sorted(len(F) for F in complex.facets_containing((v,))))
-    return sig
+    fs, stars = complex.facets, complex._stars()
+    return {v: tuple(sorted(len(fs[i]) for i in stars[v]))
+            for v in complex.vertices}
 
 
 def _screens(complex):
@@ -138,7 +147,16 @@ def _certificate(mapping):
 
 def iso(a, b, max_nodes=10 ** 6):
     """Isomorphism test with certificate; None when not isomorphic.
-    Raises BudgetExceededError past max_nodes seeds or search nodes."""
+
+    On connected pseudomanifolds the certificate comes from b's first flag,
+    in facet then vertex order, whose walk code equals that of a's first
+    facet in its own order.  Each flag's walk stops at its first entry
+    unequal to a's, which is the same full tie as a walk that stops only
+    above a's code.  A flag whose second entry differs from a's is skipped
+    unwalked, since its walk would stop there.  Every flag counts one
+    node, skipped or not.  Raises BudgetExceededError past max_nodes seeds
+    or search nodes.
+    """
     check_budget("max_nodes", max_nodes)
     if _screens(a) != _screens(b):
         return None
@@ -159,15 +177,17 @@ def iso(a, b, max_nodes=10 ** 6):
         # that of a's first facet in its own order is the answer
         va, vb = a.vertices, b.vertices
         fa, ta = _walk_table(a)
-        code, label_a, _ = _canon_walk(fa, ta, 0, fa[0], None)
+        start, perm, k_a = next(_flags(fa, ta))
+        code, label_a, _ = _canon_walk(fa, ta, start, perm, None)
         fb, tb = _walk_table(b)
-        for start, G in enumerate(fb):
-            for perm in itertools.permutations(G):
-                tick()
-                run = _canon_walk(fb, tb, start, perm, code)
-                if run is not None and run[2]:
-                    at = {l: vb[j] for j, l in run[1].items()}
-                    return _certificate({va[i]: at[l] for i, l in label_a.items()})
+        for start, perm, k in _flags(fb, tb):
+            tick()
+            if k != k_a:
+                continue  # its second code entry differs from code[1]
+            run = _canon_walk(fb, tb, start, perm, code, exact=True)
+            if run is not None:
+                at = {l: vb[j] for j, l in run[1].items()}
+                return _certificate({va[i]: at[l] for i, l in label_a.items()})
         return None
 
     # general backtracking over signature-compatible vertex images
@@ -234,21 +254,50 @@ def _walk_table(complex):
     return facets, table
 
 
-def _canon_walk(facets, table, start, perm, best):
-    """Walk code and labels of one flag, and whether the code ties best;
-    None once the code exceeds best.  Neighbours go in the label order of
-    the shared ridges, which is the descending label order of the facing
-    vertices."""
-    label = {v: i for i, v in enumerate(perm)}
+def _flags(facets, table):
+    """Every flag, start facet then vertex order, as (start, perm, k).
+
+    k is the position in perm of the last vertex facing a neighbour of the
+    start facet.  The walk reaches that neighbour first, and its apex is new
+    (were it in the start facet, the two facets would be equal), so the
+    flag's second code entry is range(d+2) without k: it depends on k alone
+    and is smaller for larger k.  A lone facet has no second entry; its k
+    is d.
+    """
+    for start, F in enumerate(facets):
+        facing = [v for v, _, _ in table[start]]
+        if len(facing) in (0, len(F)):
+            last = len(F) - 1
+            for perm in itertools.permutations(F):
+                yield start, perm, last
+        else:
+            for perm in itertools.permutations(F):
+                yield start, perm, max(map(perm.index, facing))
+
+
+def _canon_walk(facets, table, start, perm, best, exact=False):
+    """Walk code and labels of one flag, and whether the code ties best.
+
+    Returns None once the code exceeds best, or, when exact, once it
+    differs from best; an exact walk that returns ties best in full.  A
+    flag's code ties best under one rule exactly when it does under the
+    other.  Neighbours go in the label order of the shared ridges, which is
+    the descending label order of the facing vertices.  A thin complex has
+    one neighbour per ridge, so the facing vertices of one facet are
+    distinct and their labels alone order them.
+    """
+    label = dict(zip(perm, range(len(perm))))
     nxt = len(perm)
+    code = [best[0] if best else tuple(range(nxt))]  # every code starts so
     placed = {start}
-    code = [tuple(range(nxt))]
     tied = best is not None
-    queue = deque([start])
-    while queue:
-        row = sorted((label[facing], j, apex)
-                     for facing, j, apex in table[queue.popleft()])
-        for _, j, apex in reversed(row):
+    queue = [start]
+    facing_label = lambda e: label[e[0]]
+    for i in queue:
+        row = table[i]
+        if len(row) > 1:
+            row = sorted(row, key=facing_label, reverse=True)
+        for _, j, apex in row:
             if j in placed:
                 continue
             placed.add(j)
@@ -256,11 +305,13 @@ def _canon_walk(facets, table, start, perm, best):
             if apex not in label:
                 label[apex] = nxt
                 nxt += 1
-            entry = tuple(sorted([label[v] for v in facets[j]]))
+            entry = tuple(sorted(map(label.__getitem__, facets[j])))
             if tied:
-                if entry > best[len(code)]:
-                    return None
-                tied = entry == best[len(code)]
+                want = best[len(code)]
+                if entry != want:
+                    if exact or entry > want:
+                        return None
+                    tied = False
             code.append(entry)
     return code, label, tied
 
@@ -270,10 +321,12 @@ def canonical_label(complex, budget=10 ** 6):
 
     Isomorphic complexes produce equal canonical complexes, and
     complex.relabel(mapping) is the canonical one.  Connected pure
-    pseudomanifolds keep the smallest walk code over all flags, aborting each
-    walk at its first worse facet.  Everything else falls back to color
-    refinement plus bounded within-cell search.  Raises BudgetExceededError
-    when flags or relabelings exceed budget.
+    pseudomanifolds keep the smallest walk code over all flags, the first
+    one on a tie.  Each walk stops at its first entry above the best code's,
+    and a flag whose second entry is above the best code's is skipped
+    unwalked, since its walk would stop there.  Everything else falls back
+    to color refinement plus bounded within-cell search.  Raises
+    BudgetExceededError when flags or relabelings exceed budget.
     """
     check_budget("budget", budget)
     if not complex.facets:
@@ -286,12 +339,18 @@ def canonical_label(complex, budget=10 ** 6):
         vertices = complex.vertices
         facets, table = _walk_table(complex)
         best = best_label = None
-        for start, F in enumerate(facets):
-            for perm in itertools.permutations(F):
-                run = _canon_walk(facets, table, start, perm, best)
-                if run is not None and not run[2]:
-                    best, best_label, _ = run
-        return SimplicialComplex(best), {v: best_label[i] for i, v in enumerate(vertices)}
+        best_k = -1
+        for start, perm, k in _flags(facets, table):
+            if k < best_k:
+                continue  # its second code entry exceeds best[1]
+            run = _canon_walk(facets, table, start, perm, best)
+            if run is not None and not run[2]:
+                (best, best_label, _), best_k = run, k
+        # the entries are distinct, strictly increasing int tuples of one
+        # length, so none nests in another, and sorted int tuples of one
+        # length are in _fkey order
+        return (SimplicialComplex._canonical(sorted(best)),
+                {v: best_label[i] for i, v in enumerate(vertices)})
 
     # color refinement on the "shares a face" graph
     sig = _vertex_signature(complex)
@@ -344,6 +403,12 @@ def canonical_label(complex, budget=10 ** 6):
 # -- censuses ----------------------------------------------------------------
 
 
+def _check_surface_cap(n_vertices):
+    if n_vertices > 10:
+        raise BudgetExceededError("surface census capped at 10 vertices",
+                                  requested=n_vertices, budget=10)
+
+
 def enumerate_surfaces(n_vertices):
     """All connected closed triangulated surfaces on exactly n vertices, up to
     isomorphism.
@@ -356,9 +421,7 @@ def enumerate_surfaces(n_vertices):
     """
     if n_vertices < 4:
         return []
-    if n_vertices > 10:
-        raise BudgetExceededError("surface census capped at 10 vertices",
-                                  requested=n_vertices, budget=10)
+    _check_surface_cap(n_vertices)
     seed = frozenset({(0, 1, 2), (0, 1, 3)})
     out = {}
     stack = [seed]
@@ -434,7 +497,11 @@ def enumerate_disks(max_triangles):
                     continue
                 grown.append(disk.facets + (face_tuple((u, v, w)),))
             for facets in grown:
-                cand = SimplicialComplex(facets)
+                # disk's facets are canonical int triangles, and the new
+                # triangle is new: an ear has a fresh vertex, and a corner
+                # fill's edge uv is absent; so the sorted facets are
+                # canonical
+                cand = SimplicialComplex._canonical(sorted(facets))
                 key, _ = canonical_label(cand)
                 nxt.setdefault(key.facets, key)
         levels[t + 1] = [nxt[k] for k in sorted(nxt)]
@@ -480,6 +547,7 @@ class CensusRow:
 def census(max_vertices, seeds=16, max_nodes=10 ** 5):
     """Census table of closed surfaces by vertex count and topological type."""
     _search_options("auto", 0, seeds, max_nodes)  # before any enumeration
+    _check_surface_cap(max_vertices)  # and the cap, before any search
     rows = []
     for n in range(4, max_vertices + 1):
         groups = {}

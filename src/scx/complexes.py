@@ -141,8 +141,8 @@ class SimplicialComplex:
         in another, and the sequence is sorted by _fkey.  Only callers that
         prove all four may use this; input from outside the program goes
         through __init__.  The callers are the .scx parser, star,
-        connected_components, normalize and sd, each with its proof where it
-        calls.
+        connected_components, normalize, sd, canonical_label and
+        enumerate_disks, each with its proof where it calls.
         """
         self = cls.__new__(cls)
         self._store(tuple(facets))

@@ -6,7 +6,9 @@ disk counts from a raw filter over all small triangle sets, and isomorphism
 answers from a plain vertex-permutation backtracker.
 """
 
+import hashlib
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx import BudgetExceededError, InvalidComplexError, SimplicialComplex, octahedron, simplex_boundary
+from scx import (BudgetExceededError, InvalidComplexError, SimplicialComplex,
+                 full_simplex, octahedron, simplex_boundary)
 from scx.census import (
     IsoCertificate,
     canonical_label,
@@ -422,6 +425,96 @@ def test_canonical_label_aborts_walks_early():
     assert large / small < 20, (small, large)
 
 
+def shuffled(C, rng):
+    """C with its vertices renamed by a seeded shuffle of 0..n-1."""
+    labels = list(range(C.n_vertices))
+    rng.shuffle(labels)
+    return C.relabel(dict(zip(C.vertices, labels)))
+
+
+def frozen_corpus():
+    """part -> [(complex, its seeded relabelling)]: every disk with at most 7
+    triangles, every closed surface on 7 vertices, and the census
+    benchmark's big iso inputs, sd^2 of the octahedron and sd^3 of the
+    triangle."""
+    rng = random.Random(16)
+    disks = [D for level in enumerate_disks(7).values() for D in level]
+    big = [sd_k(octahedron(), 2).complex.normalize(),
+           sd_k(full_simplex(2), 3).complex.normalize()]
+    return {part: [(C, shuffled(C, rng)) for C in members]
+            for part, members in (("disks", disks),
+                                  ("surfaces", enumerate_surfaces(7)),
+                                  ("big", big))}
+
+
+def iso_pairs(part, pairs):
+    """Each complex against its own relabelling and, for surfaces, against
+    every other's; each disk also against the next disk's of its size."""
+    if part == "surfaces":
+        return [(a, r) for a, _ in pairs for _, r in pairs]
+    out = list(pairs)
+    if part == "disks":
+        for (a, _), (b, r) in zip(pairs, pairs[1:] + pairs[:1]):
+            if len(a.facets) == len(b.facets):
+                out.append((a, r))
+    return out
+
+
+# (entry point, corpus part) -> SHA-256 of the outputs: canonical facets and
+# sorted label map of both sides of every pair, or iso's certificate mapping
+# (None when not isomorphic) on every pair of iso_pairs
+CANONICAL_DIGESTS = {
+    ("canonical_label", "disks"):
+        "61bda6cd5695beb0e9eac61fe118e9e2d14cc8d5a31906eeb78cbbccfab03e1f",
+    ("iso", "disks"):
+        "6bacce766f3c8ec7e8f12f5eb3c6963da824bb54eecea2b206de2024ab1b3626",
+    ("canonical_label", "surfaces"):
+        "edba305ef00ca3802608ed1bf8a595032b8a042fe8553279015d4643089beaa1",
+    ("iso", "surfaces"):
+        "ba3433ce1809f4f0826e4688551bff186dc754bd15037353642073109dc346dc",
+    ("canonical_label", "big"):
+        "8f41b07d128aa84f90812e00abcda076fc2e7a549909ddd992a957adf871c841",
+    ("iso", "big"):
+        "a116fb8f4caed04067f5906d208600a166c5d5717fc09dd8e53dff1d7f7135b0",
+}
+
+
+def test_canonical_outputs_are_frozen():
+    got = {}
+    for part, pairs in frozen_corpus().items():
+        digest = hashlib.sha256()
+        for C in (c for pair in pairs for c in pair):
+            canon, mapping = canonical_label(C)
+            digest.update(repr((canon.facets, sorted(mapping.items()))).encode())
+        got[("canonical_label", part)] = digest.hexdigest()
+        digest = hashlib.sha256()
+        for a, b in iso_pairs(part, pairs):
+            cert = iso(a, b)
+            digest.update(repr(cert and cert.mapping).encode())
+        got[("iso", part)] = digest.hexdigest()
+    assert got == CANONICAL_DIGESTS
+
+
+def test_iso_stops_each_walk_at_its_first_unequal_entry():
+    """iso walks b from each flag against one walk code of a.  Walks that
+    stop at their first unequal entry make five iso calls on relabellings
+    of sd^3 of the octahedron cost less than one canonical_label of it
+    (about 0.6 times as much); walks that go on after a smaller entry make
+    them cost about 5.6 times as much; 2 separates them."""
+    K = sd_k(octahedron(), 3).complex
+    relabellings = [shuffled(K, random.Random(seed)) for seed in range(5)]
+    best_iso = best_canon = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for R in relabellings:
+            assert iso(K, R) is not None
+        mid = time.perf_counter()
+        canonical_label(K)
+        best_iso = min(best_iso, mid - start)
+        best_canon = min(best_canon, time.perf_counter() - mid)
+    assert best_iso / best_canon < 2, (best_iso, best_canon)
+
+
 # -- censuses -----------------------------------------------------------------
 
 
@@ -465,6 +558,17 @@ def test_eight_vertex_surfaces_by_type():
         types[(sc.orientable, sc.genus if sc.orientable else sc.cross_caps)] += 1
     assert types == {(True, 0): 14, (True, 1): 7, (False, 1): 16, (False, 2): 6}
     assert len(eight) == 43
+
+
+@pytest.mark.parametrize("call, requested, budget", [
+    (enumerate_disks, 13, 12), (enumerate_surfaces, 11, 10),
+    (census, 11, 10)])
+def test_census_caps_refuse_before_any_work(call, requested, budget):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        call(requested)
+    assert (err.value.requested, err.value.budget) == (requested, budget)
+    assert time.perf_counter() - start < 1
 
 
 def test_disk_counts_match_raw_oracle():

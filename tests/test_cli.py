@@ -397,6 +397,9 @@ BUDGET_CONTRACT = [
     ("census", ("census", "-n", "5", "--tries", "0", "--budget", "0"), 0,
      "vertices orientable genus count endo min_facets\n"
      "4 yes 0 1 unknown 4\n5 yes 0 1 unknown 6\n", ""),
+    # the vertex cap is checked before any enumeration or search
+    ("census-cap", ("census", "-n", "11"), 2, "",
+     "budget exceeded: surface census capped at 10 vertices\n"),
     ("collapse-tries", ("collapse", "disk.scx", "--tries", "-3"), 3, "",
      "invalid input: seeds must be at least 0, got -3\n"),
     ("collapse-budget", ("collapse", "disk.scx", "--strategy", "exhaustive",
