@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, face_tuple, _fkey
 from .collapse import _overall_verdict, _search_options, is_endo_collapsible
-from .errors import BudgetExceededError, InvalidComplexError, check_budget
+from .errors import (DEFAULT_MAX_NODES, InvalidComplexError, check_budget,
+                     spend)
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,12 @@ def _connected_pm(complex):
             and len(complex._incidence()[3]) == 1)
 
 
-def _certificate(mapping):
-    return IsoCertificate(tuple(sorted(mapping.items(), key=_fkey)))
+def _certificate(a, image):
+    # a.vertices is in _vkey order, so the pairs come out sorted
+    return IsoCertificate(tuple((v, image[v]) for v in a.vertices))
 
 
-def iso(a, b, max_nodes=10 ** 6):
+def iso(a, b, max_nodes=DEFAULT_MAX_NODES):
     """Isomorphism test with certificate; None when not isomorphic.
 
     On connected pseudomanifolds the certificate comes from b's first flag,
@@ -161,17 +163,10 @@ def iso(a, b, max_nodes=10 ** 6):
     if _screens(a) != _screens(b):
         return None
     if a.facets == b.facets:
-        return _certificate({v: v for v in a.vertices})
+        return _certificate(a, {v: v for v in a.vertices})
 
-    nodes = 0
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError("isomorphism search exceeded %d nodes"
-                                      % max_nodes, budget=max_nodes)
-
+    nodes = itertools.count(1)
+    over = "isomorphism search exceeded %(budget)d nodes"
     if _connected_pm(a) and _connected_pm(b):
         # a flag fixes the isomorphism: b's first flag whose walk code ties
         # that of a's first facet in its own order is the answer
@@ -181,13 +176,13 @@ def iso(a, b, max_nodes=10 ** 6):
         code, label_a, _ = _canon_walk(fa, ta, start, perm, None)
         fb, tb = _walk_table(b)
         for start, perm, k in _flags(fb, tb):
-            tick()
+            spend(next(nodes), max_nodes, over)
             if k != k_a:
                 continue  # its second code entry differs from code[1]
             run = _canon_walk(fb, tb, start, perm, code, exact=True)
             if run is not None:
                 at = {l: vb[j] for j, l in run[1].items()}
-                return _certificate({va[i]: at[l] for i, l in label_a.items()})
+                return _certificate(a, {va[i]: at[l] for i, l in label_a.items()})
         return None
 
     # general backtracking over signature-compatible vertex images
@@ -217,7 +212,7 @@ def iso(a, b, max_nodes=10 ** 6):
         return True
 
     def images(v):
-        tick()
+        spend(next(nodes), max_nodes, over)
         return iter(pool.get(sig_a[v], ()))
 
     # depth-first over order, one iterator of candidate images per level
@@ -239,7 +234,7 @@ def iso(a, b, max_nodes=10 ** 6):
         if len(stack) < len(order):
             stack.append(images(order[len(stack)]))
         elif {face_tuple(assignment[u] for u in F) for F in a.facets} == bfacets:
-            return _certificate(assignment)
+            return _certificate(a, assignment)
     return None
 
 
@@ -316,7 +311,7 @@ def _canon_walk(facets, table, start, perm, best, exact=False):
     return code, label, tied
 
 
-def canonical_label(complex, budget=10 ** 6):
+def canonical_label(complex, budget=DEFAULT_MAX_NODES):
     """Canonical relabeling: returns (canonical complex, mapping to new ids).
 
     Isomorphic complexes produce equal canonical complexes, and
@@ -332,10 +327,8 @@ def canonical_label(complex, budget=10 ** 6):
     if not complex.facets:
         return complex, {}
     if _connected_pm(complex):
-        n_flags = len(complex.facets) * math.factorial(complex.dim + 1)
-        if n_flags > budget:
-            raise BudgetExceededError("canonical labeling needs %d walks (budget %d)"
-                                      % (n_flags, budget), requested=n_flags, budget=budget)
+        spend(len(complex.facets) * math.factorial(complex.dim + 1), budget,
+              "canonical labeling needs %(requested)d walks (budget %(budget)d)")
         vertices = complex.vertices
         facets, table = _walk_table(complex)
         best = best_label = None
@@ -376,10 +369,8 @@ def canonical_label(complex, budget=10 ** 6):
     total = 1
     for cell in ordered_cells:
         total *= math.factorial(len(cell))
-        if total > budget:
-            raise BudgetExceededError(
-                "canonical labeling needs %d relabelings (budget %d)"
-                % (total, budget), requested=total, budget=budget)
+        spend(total, budget, "canonical labeling needs %(requested)d "
+              "relabelings (budget %(budget)d)")
     offsets = []
     base = 0
     for cell in ordered_cells:
@@ -404,9 +395,7 @@ def canonical_label(complex, budget=10 ** 6):
 
 
 def _check_surface_cap(n_vertices):
-    if n_vertices > 10:
-        raise BudgetExceededError("surface census capped at 10 vertices",
-                                  requested=n_vertices, budget=10)
+    spend(n_vertices, 10, "surface census capped at %(budget)d vertices")
 
 
 def enumerate_surfaces(n_vertices):
@@ -469,9 +458,7 @@ def enumerate_disks(max_triangles):
     """
     if max_triangles < 1:
         return {}
-    if max_triangles > 12:
-        raise BudgetExceededError("disk census capped at 12 triangles",
-                                  requested=max_triangles, budget=12)
+    spend(max_triangles, 12, "disk census capped at %(budget)d triangles")
     levels = {1: [SimplicialComplex([(0, 1, 2)])]}
     for t in range(1, max_triangles):
         nxt = {}
@@ -489,10 +476,8 @@ def enumerate_disks(max_triangles):
             for (x, y) in boundary:
                 at_vertex.setdefault(x, []).append(y)
                 at_vertex.setdefault(y, []).append(x)
-            for w, ends in at_vertex.items():
-                if len(ends) != 2:
-                    continue
-                u, v = ends
+            # the boundary is one cycle: each of its vertices ends two edges
+            for w, (u, v) in at_vertex.items():
                 if face_tuple((u, v)) in edge_count:
                     continue
                 grown.append(disk.facets + (face_tuple((u, v, w)),))

@@ -13,14 +13,14 @@ import argparse
 import sys
 
 from .census import census, derived_count_bound, iso, manifold_count_bound
-from .collapse import (DEFAULT_MAX_NODES, DEFAULT_SEEDS, STRATEGIES,
-                       collapses_to, discrete_morse_vector, is_collapsible,
+from .collapse import (DEFAULT_SEEDS, STRATEGIES, collapses_to,
+                       discrete_morse_vector, is_collapsible,
                        is_endo_collapsible, sd_endo_collapsibility_report)
 from .complexes import (SimplicialComplex, face_tuple, full_simplex,
                         octahedron, simplex_boundary)
-from .errors import (BudgetExceededError, InvalidComplexError,
-                     NotDerivedSubdivisionError, QuotientRejected,
-                     ScxFormatError)
+from .errors import (DEFAULT_MAX_NODES, BudgetExceededError,
+                     InvalidComplexError, NotDerivedSubdivisionError,
+                     QuotientRejected, ScxFormatError)
 from .families import (grid_surface, lower_bound_table, strip_surface,
                        torus_from_pattern)
 from .reconstruct import reconstruct
@@ -283,7 +283,7 @@ def _morse_args(p):
 def _reconstruct_args(p):
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=10 ** 6,
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES,
                    help="largest number of seed orderings to try")
 
 
@@ -301,7 +301,7 @@ def _generate_args(p):
 def _iso_args(p):
     p.add_argument("file")
     p.add_argument("other")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES)
 
 
 def _census_args(p):

@@ -43,11 +43,10 @@ from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, repeat
 
 from .complexes import face_tuple, _fkey, _ridge_map
-from .errors import InvalidComplexError, check_budget
+from .errors import DEFAULT_MAX_NODES, InvalidComplexError, check_budget
 from .subdivision import sd
 
 DEFAULT_SEEDS = 64
-DEFAULT_MAX_NODES = 10 ** 6
 _SEED_STRIDE = 1000003
 
 

@@ -1,4 +1,6 @@
-"""Exception types, and the budget check, shared across the package."""
+"""Exception types, and the budget rules, shared across the package."""
+
+DEFAULT_MAX_NODES = 10 ** 6
 
 
 class ScxError(Exception):
@@ -44,3 +46,17 @@ def check_budget(name, value):
     if value < 0:
         raise InvalidComplexError("%s must be at least 0, got %d"
                                   % (name, value))
+
+
+def spend(requested, budget, message):
+    """Refuse work past its budget: raise BudgetExceededError when requested
+    exceeds budget.
+
+    requested is the amount of work asked for or, for a counted search, the
+    count that passed the budget.  message is %-formatted with the mapping
+    {"requested": requested, "budget": budget}.
+    """
+    if requested > budget:
+        raise BudgetExceededError(
+            message % {"requested": requested, "budget": budget},
+            requested=requested, budget=budget)

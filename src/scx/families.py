@@ -97,9 +97,7 @@ def strip_surface(perm):
 
 def _walk_strip_order(start, L, nbrs, ldeg):
     # the strip vertices induce the square of a path; recover the path order
-    first = sorted(nbrs[start] & L, key=_vkey)
-    if len(first) != 2:
-        return None
+    first = sorted(nbrs[start] & L, key=_vkey)  # two: start is an end
     by_deg = {ldeg[v]: v for v in first}
     # the second and third vertices along the path have degrees 3 and 4
     if set(by_deg) != {3, 4}:

@@ -21,8 +21,8 @@ the vertex correspondence, are the facets of K.
 import itertools
 
 from .complexes import SimplicialComplex, _maximal
-from .errors import (BudgetExceededError, NotDerivedSubdivisionError,
-                     check_budget)
+from .errors import (DEFAULT_MAX_NODES, NotDerivedSubdivisionError,
+                     check_budget, spend)
 
 
 def _rank0_neighbours(facets, ranks):
@@ -123,7 +123,7 @@ def _try_ranks(complex, ranks):
     return None
 
 
-def reconstruct(complex, max_nodes=10 ** 6):
+def reconstruct(complex, max_nodes=DEFAULT_MAX_NODES):
     """Invert a derived subdivision, keeping the rank-0 vertex labels.
 
     Raises NotDerivedSubdivisionError when the complex is not the derived
@@ -133,16 +133,9 @@ def reconstruct(complex, max_nodes=10 ** 6):
     check_budget("max_nodes", max_nodes)
     if not complex.facets:
         return SimplicialComplex()
-    nodes = 0
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(
-                "reconstruct tried more than %d seed orderings" % max_nodes,
-                requested=nodes, budget=max_nodes)
-
+    nodes = itertools.count(1)
+    tick = lambda: spend(next(nodes), max_nodes,
+                         "reconstruct tried more than %(budget)d seed orderings")
     pieces = []
     for part in complex.connected_components():
         tries = (_try_ranks(part, ranks)

@@ -18,7 +18,7 @@ import itertools
 import math
 
 from .complexes import SimplicialComplex, face_tuple, _closure, _fkey
-from .errors import BudgetExceededError, InvalidComplexError, check_budget
+from .errors import InvalidComplexError, check_budget, spend
 
 DEFAULT_MAX_FACETS = 10 ** 7
 
@@ -78,12 +78,8 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
     chain or face label is sorted or keyed.
     """
     check_budget("max_facets", max_facets)
-    predicted = _predict_facets(complex)
-    if predicted > max_facets:
-        raise BudgetExceededError(
-            "subdivision would have %d facets (budget %d)" % (predicted, max_facets),
-            requested=predicted, budget=max_facets,
-        )
+    spend(_predict_facets(complex), max_facets,
+          "subdivision would have %(requested)d facets (budget %(budget)d)")
     verts, _, ranked = complex._ranked()
     faces = sorted(_closure(ranked))
     rank = {f: r for r, f in enumerate(faces)}

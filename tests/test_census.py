@@ -218,6 +218,18 @@ def test_determine_gluing_validates_input():
         determine_gluing(book, book, ((0, 1, 2), (0, 1, 2)))
 
 
+def test_determine_gluing_names_a_bad_seed_image():
+    o = octahedron()
+    # 0 and 1 are antipodal: no facet holds both
+    with pytest.raises(InvalidComplexError,
+                       match=r"^seed image \(0, 1, 2\) is not a facet$"):
+        determine_gluing(o, o, (o.facets[0], (0, 1, 2)))
+    triangle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InvalidComplexError,
+                       match="^seed facets have different dimensions$"):
+        determine_gluing(o, triangle, (o.facets[0], (0, 1)))
+
+
 def test_a_negative_iso_budget_is_refused_before_the_equal_facets_shortcut():
     with pytest.raises(InvalidComplexError,
                        match="max_nodes must be at least 0, got -1"):

@@ -14,12 +14,16 @@ import time
 
 import pytest
 
-from scx.census import canonical_label, census, iso
+from scx.census import (canonical_label, census, enumerate_disks,
+                        enumerate_surfaces, iso)
 from scx.cli import COMMANDS, build_parser, main
-from scx.collapse import (collapses_to, is_collapsible, is_endo_collapsible,
+from scx.collapse import (collapses_to, discrete_morse_vector,
+                          is_collapsible, is_endo_collapsible,
                           sd_endo_collapsibility_report)
-from scx.complexes import SimplicialComplex, octahedron
-from scx.errors import InvalidComplexError
+from scx.complexes import (SimplicialComplex, full_simplex, new_complex,
+                           octahedron, simplex_boundary)
+from scx.errors import BudgetExceededError, InvalidComplexError, spend
+from scx.families import grid_disk, polygon_triangulations, strip_sphere
 from scx.reconstruct import reconstruct
 from scx.scxio import write_certificate, write_complex
 from scx.subdivision import derived_neighborhood, sd, sd_k
@@ -364,6 +368,9 @@ def test_usage_and_format_errors(tmp_path, capsys):
     for family in ("strip", "grid"):
         code, out, err = run(capsys, "generate", family, "--perm", "x")
         assert code == 3 and "format error" in err and "'x'" in err
+    # a trailing comma in an inline subcomplex leaves an empty facet
+    assert run(capsys, "neighborhood", disk, "--sub", "0 1,") == (
+        3, "", "format error: empty facet in '0 1,'\n")
 
 
 def test_module_entry_point(tmp_path):
@@ -512,3 +519,103 @@ def test_budgeted_functions_refuse_a_negative_budget(call, message):
     with pytest.raises(InvalidComplexError) as e:
         call()
     assert str(e.value) == message
+
+
+OCT = octahedron()
+
+# budgeted public function -> (call past its budget, message, requested,
+# budget): requested is the work asked for, or the count that passed the
+# budget, and always exceeds it
+API_OVERRUN_CONTRACT = [
+    ("sd", lambda: sd(OCT, max_facets=47),
+     "subdivision would have 48 facets (budget 47)", 48, 47),
+    # the first round fits, the second does not
+    ("sd_k", lambda: sd_k(OCT, 2, max_facets=100),
+     "subdivision would have 288 facets (budget 100)", 288, 100),
+    ("derived_neighborhood",
+     lambda: derived_neighborhood(OCT, SimplicialComplex([(0,)]), k=2,
+                                  max_facets=100),
+     "subdivision would have 288 facets (budget 100)", 288, 100),
+    ("reconstruct",
+     lambda: reconstruct(glued_subdivided_triangles(4), max_nodes=10),
+     "reconstruct tried more than 10 seed orderings", 11, 10),
+    # not pure: the backtracking search counts one node per vertex level
+    ("iso", lambda: iso(SimplicialComplex([(0, 1, 2), (2, 3)]),
+                        SimplicialComplex([(0, 1), (1, 2, 3)]), max_nodes=1),
+     "isomorphism search exceeded 1 nodes", 2, 1),
+    # a pseudomanifold, relabeled: the flag walk counts one node per flag
+    ("iso-flags", lambda: iso(OCT, OCT.relabel({0: 0, 1: 2, 2: 1, 3: 3,
+                                                4: 4, 5: 5}), max_nodes=0),
+     "isomorphism search exceeded 0 nodes", 1, 0),
+    ("canonical_label-walks", lambda: canonical_label(OCT, budget=47),
+     "canonical labeling needs 48 walks (budget 47)", 48, 47),
+    # three disjoint edges: one color class of six vertices
+    ("canonical_label-relabelings",
+     lambda: canonical_label(SimplicialComplex([(0, 1), (2, 3), (4, 5)]),
+                             budget=719),
+     "canonical labeling needs 720 relabelings (budget 719)", 720, 719),
+    ("enumerate_disks", lambda: enumerate_disks(13),
+     "disk census capped at 12 triangles", 13, 12),
+    ("enumerate_surfaces", lambda: enumerate_surfaces(11),
+     "surface census capped at 10 vertices", 11, 10),
+    ("census", lambda: census(11),
+     "surface census capped at 10 vertices", 11, 10),
+]
+
+
+@pytest.mark.parametrize("call, message, requested, budget",
+                         [row[1:] for row in API_OVERRUN_CONTRACT],
+                         ids=[row[0] for row in API_OVERRUN_CONTRACT])
+def test_budgeted_functions_refuse_past_their_budget(call, message,
+                                                     requested, budget):
+    with pytest.raises(BudgetExceededError) as e:
+        call()
+    assert (str(e.value), e.value.requested, e.value.budget) == (
+        message, requested, budget)
+    assert requested > budget
+
+
+def test_spend_refuses_only_past_the_budget():
+    spend(5, 5, "never raised")
+    with pytest.raises(BudgetExceededError) as e:
+        spend(6, 5, "asked %(requested)d of %(budget)d")
+    assert (str(e.value), e.value.requested, e.value.budget) == (
+        "asked 6 of 5", 6, 5)
+
+
+# public function on a small or degenerate input -> (call, expected): the
+# value returned, or the InvalidComplexError raised
+SMALL_INPUT_CONTRACT = [
+    ("enumerate_surfaces", lambda: enumerate_surfaces(3), []),
+    ("enumerate_disks", lambda: enumerate_disks(0), {}),
+    ("discrete_morse_vector", lambda: discrete_morse_vector(EMPTY), ()),
+    ("new_complex", lambda: new_complex([(1, 2), (0, 1)]),
+     SimplicialComplex([(0, 1), (1, 2)])),
+    ("cone", lambda: EMPTY.cone(), SimplicialComplex([(0,)])),
+    ("relabel", lambda: DISK2.relabel({0: 5}),
+     InvalidComplexError("no image for vertex 1")),
+    ("full_simplex", lambda: full_simplex(-1),
+     InvalidComplexError("dimension must be >= 0")),
+    ("simplex_boundary", lambda: simplex_boundary(0),
+     InvalidComplexError("dimension must be >= 1")),
+    ("sd_k", lambda: sd_k(DISK2, -1),
+     InvalidComplexError("subdivision rounds must be >= 0")),
+    ("polygon_triangulations", lambda: next(polygon_triangulations(2)),
+     InvalidComplexError("a polygon needs at least 3 vertices")),
+    ("strip_sphere", lambda: strip_sphere(0),
+     InvalidComplexError("genus must be >= 1")),
+    ("grid_disk", lambda: grid_disk(0),
+     InvalidComplexError("genus must be >= 1")),
+]
+
+
+@pytest.mark.parametrize("call, expected",
+                         [row[1:] for row in SMALL_INPUT_CONTRACT],
+                         ids=[row[0] for row in SMALL_INPUT_CONTRACT])
+def test_small_inputs_answer_or_refuse(call, expected):
+    if isinstance(expected, InvalidComplexError):
+        with pytest.raises(InvalidComplexError) as e:
+            call()
+        assert str(e.value) == str(expected)
+    else:
+        assert call() == expected

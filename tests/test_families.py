@@ -22,7 +22,8 @@ from scx.families import (count_torus_outcomes, dyck_words, grid_disk,
                           grid_sphere, grid_surface, lower_bound_table,
                           polygon_triangulations, recover_strip_permutation,
                           strip_sphere, strip_surface, triangle_strip,
-                          triangulation_from_pattern, torus_from_pattern)
+                          triangulation_from_pattern, torus_from_pattern,
+                          _oriented_cycle, _tube)
 
 
 def catalan(m):
@@ -109,7 +110,8 @@ def test_recover_strip_permutation_roundtrip():
             assert recover_strip_permutation(M2) == perm
 
 
-def flip_one_edge(M):
+def edge_flips(M):
+    """Every surface one edge flip away from the closed surface M."""
     edges = {}
     for F in M.facets:
         for i in range(3):
@@ -123,18 +125,66 @@ def flip_one_edge(M):
         if tuple(sorted((c, d))) not in edges:
             keep = set(M.facets) - set(tris)
             keep |= {tuple(sorted((e[0], c, d))), tuple(sorted((e[1], c, d)))}
-            return SimplicialComplex(keep)
-    raise AssertionError("no flippable edge")
+            yield SimplicialComplex(keep)
 
 
 def test_recover_strip_permutation_rejects_outsiders():
     with pytest.raises(InvalidComplexError):
         recover_strip_permutation(octahedron())
     # same facet count, same genus, but not in the family
-    foreign = flip_one_edge(strip_surface((1,)))
+    foreign = next(edge_flips(strip_surface((1,))))
     assert foreign.classify_surface().genus == 1
     with pytest.raises(InvalidComplexError):
         recover_strip_permutation(foreign)
+
+
+def stacked_sphere(n_facets, degree):
+    """A sphere stacked from the tetrahedron boundary: vertex 0 reaches the
+    given degree first, then stacking goes on away from it."""
+    tris = set(itertools.combinations(range(4), 3))
+    while len(tris) < n_facets:
+        at_0 = [t for t in tris if 0 in t]
+        a, b, c = min(at_0) if len(at_0) < degree else max(tris - set(at_0))
+        v = len(tris) // 2 + 2
+        tris -= {(a, b, c)}
+        tris |= {(a, b, v), (a, c, v), (b, c, v)}
+    return SimplicialComplex(tris)
+
+
+def tunnelled_sphere(g, holes):
+    """strip_sphere(g) with a tube between each pair of holes, as
+    strip_surface builds it, but with the holes anywhere."""
+    sphere = strip_sphere(g)
+    signs = sphere.orientation()
+    tris = set(sphere.facets) - {h for pair in holes for h in pair}
+    for j, (A, B) in enumerate(holes):
+        mids = tuple(2 * g + 6 + 3 * j + t for t in range(3))
+        tris.update(_tube(_oriented_cycle(A, signs[A]), mids,
+                          tuple(reversed(_oriented_cycle(B, signs[B])))))
+    return SimplicialComplex(tris)
+
+
+def test_recover_strip_permutation_rejects_near_misses():
+    """Every edge flip of a strip surface, and outsiders whose facet counts
+    are 14g + 8, fail the decoder's own checks or its rebuild."""
+    assert tunnelled_sphere(2, [((1, 2, 3), (5, 6, 7)),
+                                ((2, 3, 4), (6, 7, 8))]) == strip_surface((1, 2))
+    near = [F for perm in ((1, 2), (2, 1), (1, 2, 3), (3, 1, 2))
+            for F in edge_flips(strip_surface(perm))]
+    assert len(near) == 228
+    outsiders = [
+        strip_sphere(7), grid_surface(tuple(range(1, 7))),
+        # an apex of the right degree with too many other vertices
+        stacked_sphere(36, 9),
+        # two holes sharing a vertex, and holes in the wrong blocks
+        tunnelled_sphere(2, [((0, 1, 2), (2, 3, 4)), ((1, 2, 3), (5, 6, 7))]),
+        tunnelled_sphere(2, [((1, 2, 3), (4, 5, 6)), ((2, 3, 4), (6, 7, 8))]),
+    ]
+    for M in near + outsiders:
+        assert len(M.facets) % 14 == 8
+        with pytest.raises(InvalidComplexError,
+                           match="complex is not a strip surface"):
+            recover_strip_permutation(M)
 
 
 def test_grid_disk_shape():

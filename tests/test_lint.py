@@ -75,3 +75,25 @@ def test_every_public_function_and_class_has_a_docstring():
                 docs[node.name] = ast.get_docstring(node)
     assert set(scx.__all__) <= set(docs)
     assert [name for name in scx.__all__ if not docs[name]] == []
+
+
+def budget_error_calls(source):
+    """Lines of source that call BudgetExceededError directly."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and ast.unparse(
+                      node.func).split(".")[-1] == "BudgetExceededError")
+
+
+def test_the_checker_sees_budget_error_calls():
+    source = ("from . import errors\nfrom .errors import BudgetExceededError\n"
+              "def f(n):\n    if n:\n        raise BudgetExceededError('x')\n"
+              "    raise errors.BudgetExceededError('y', budget=n)\n"
+              "def g(e):\n    return isinstance(e, BudgetExceededError)\n")
+    assert budget_error_calls(source) == [5, 6]
+
+
+def test_only_errors_py_raises_a_budget_error():
+    """Every refusal past a budget goes through errors.spend."""
+    found = {p.name: budget_error_calls(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"errors.py"}
