@@ -28,7 +28,8 @@ greedy then exhaustive.  Verdicts are "yes" (with certificate), "no"
 
 The search runs on vertex ranks (SimplicialComplex._ranked): faces are
 tuples of ranks, which hash and sort as plain ints in the (len, _fkey) order
-of their labels, and only the certificate's faces are mapped back to labels.
+of their labels, and only the certificate's faces are mapped back to labels,
+unless the labels are the ints 0..n-1 and so the ranks themselves.
 Both rollouts run one loop that reads the engine's arrays in place and
 differs only in its picker.
 The exhaustive search keeps the free faces of every open node: a child's
@@ -346,12 +347,18 @@ def _decide(complex, labels, faces, goal, claim, candidates, options,
     faces are the complex's faces and goal those to reach (None for one
     vertex), both as _levels of rank tuples; candidates are the facets to
     remove first, rank tuples of the top dimension, or [None].  labels maps
-    ranks back for the certificate.
+    ranks back for the certificate; labels that are the ints 0..n-1 are
+    the ranks themselves.
     """
     strategy, seed, seeds, max_nodes = options
-
-    def label(f):
-        return tuple(map(labels.__getitem__, f))
+    if (set(map(type, labels)) == {int} and labels[0] == 0
+            and labels[-1] == len(labels) - 1):
+        # the sorted ints 0..n-1 are their own ranks: tuple gives a rank
+        # tuple back as it is
+        label = tuple
+    else:
+        def label(f):
+            return tuple(map(labels.__getitem__, f))
 
     # a removed facet takes its (-1)^dim out of the Euler number
     removed_chi = 0 if candidates[0] is None else (-1) ** complex.dim

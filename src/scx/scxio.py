@@ -41,7 +41,7 @@ and never stored: its target_facets stays None.
 
 import itertools
 import re
-from operator import attrgetter
+from operator import attrgetter, lt
 
 from .collapse import CollapsePair, CollapseSequence
 from .complexes import SimplicialComplex, face_tuple
@@ -51,8 +51,10 @@ MAGIC = "scx 1"
 _INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
 _FACET_BLOCK = re.compile("(?:%s(?: %s)*\n)*" % (_INT, _INT))
-_BLOCK_LINES = 256  # facet lines per _FACET_BLOCK match
-_COMMA_INTS = re.compile("%s(?:,%s)*" % (_INT, _INT))
+_BLOCK_LINES = 256  # facet or collapse lines per block match
+_FACE = "%s(?:,%s)*" % (_INT, _INT)
+_COMMA_INTS = re.compile(_FACE)
+_COLLAPSE_BLOCK = re.compile("(?:collapse %s %s\n)*" % (_FACE, _FACE))
 
 
 def _relabel_once(facets):
@@ -215,9 +217,10 @@ def certificate_to_text(cert):
         () if cert.removed_facet is None else (cert.removed_facet,),
         map(attrgetter("free"), cert.pairs),
         map(attrgetter("coface"), cert.pairs), targets or ())
-    # the label types of the whole text, checked once
+    # the label types of the whole text, checked once; str(True) is "True",
+    # which no reader takes for an integer
     types = set(map(type, itertools.chain.from_iterable(faces)))
-    if not all(issubclass(t, int) for t in types):
+    if bool in types or not all(issubclass(t, int) for t in types):
         raise ScxFormatError(
             "certificate serialization needs integer vertex labels; "
             "write the complex first to normalize it")
@@ -235,22 +238,43 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _parse_face(token, line_no):
+def _parse_face(token, line_no, spelled=False):
+    """The face a comma-separated token names, sorted; spelled says the
+    token is known to match _COMMA_INTS."""
     fields = token.split(",")
-    if _COMMA_INTS.fullmatch(token):
-        vs = tuple(sorted(map(int, fields)))
+    if spelled or _COMMA_INTS.fullmatch(token):
+        vs = tuple(map(int, fields))
     else:  # raises, naming the first bad field
-        vs = tuple(sorted(_int_fields(fields, line_no)))
-    if len(set(vs)) != len(vs):
-        try:
-            face_tuple(vs)
-        except InvalidComplexError as e:  # names the repeated vertex
-            raise ScxFormatError(str(e), line_no)
+        vs = tuple(_int_fields(fields, line_no))
+    if len(vs) > 1 and not all(map(lt, vs, vs[1:])):
+        vs = tuple(sorted(vs))
+        if len(set(vs)) != len(vs):
+            try:
+                face_tuple(vs)
+            except InvalidComplexError as e:  # names the repeated vertex
+                raise ScxFormatError(str(e), line_no)
     return vs
 
 
+def _collapse_block(lines, i, text, start):
+    """The end of the run of at most _BLOCK_LINES collapse lines from line
+    i, which starts at offset `start` of text, and whether one match
+    spells them all."""
+    stop = min(i + _BLOCK_LINES, len(lines))
+    j = i + 1
+    while j < stop and lines[j].startswith("collapse "):
+        j += 1
+    end = start + sum(map(len, lines[i:j])) + j - i
+    return j, end, _COLLAPSE_BLOCK.fullmatch(text, start, end) is not None
+
+
 def certificate_from_text(text, complex):
-    """Parse a certificate against the complex it talks about."""
+    """Parse a certificate against the complex it talks about.
+
+    As in complex_from_text, one match spells each block of collapse lines,
+    ended by the first line of another kind; only a block that fails it is
+    read line by line, so that the error names the line.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -258,8 +282,23 @@ def certificate_from_text(text, complex):
     pairs = []
     claim = None
     targets = []
-    for i, line in enumerate(lines):
+    i = start = checked = 0  # lines before `checked` were in a tried block
+    while i < len(lines):
+        line = lines[i]
         line_no = i + 1
+        if i >= checked and claim is None and line.startswith("collapse "):
+            j, end, spelled = _collapse_block(lines, i, text, start)
+            checked = j
+            if spelled:
+                for line_no, line in enumerate(lines[i:j], line_no):
+                    _, free, coface = line.split(" ")
+                    pairs.append(CollapsePair(
+                        _parse_face(free, line_no, True),
+                        _parse_face(coface, line_no, True)))
+                i, start = j, end
+                continue
+        start += len(line) + 1
+        i += 1
         parts = _split_strict(line, line_no)
         if parts[0] == "remove":
             if removed is not None or pairs or claim:

@@ -1,5 +1,7 @@
 """Stdlib lint: every name a module imports is used in that module, no
-module imports inside a function, and every public name has a docstring.
+module imports inside a function, every public name has a docstring, only
+errors.py raises a budget error, and the certificate replay imports nothing
+of the search engine.
 
 The project depends on no linter, so this walks the syntax trees itself.
 The package __init__ is exempt from the unused-import check: its imports
@@ -97,3 +99,61 @@ def test_only_errors_py_raises_a_budget_error():
     found = {p.name: budget_error_calls(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     assert {name for name, lines in found.items() if lines} == {"errors.py"}
+
+
+def package_imports(source):
+    """(module, name) for each name source takes from a module of the
+    package, by a relative import or through "scx"; name is None when the
+    module itself is imported."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "scx":
+                    continue
+                module = module[len("scx."):] if "." in module else ""
+            for alias in node.names:
+                if module:
+                    found.add((module, alias.name))
+                else:  # from . import collapse
+                    found.add((alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:  # "scx" alone gives module ""
+                if alias.name.split(".")[0] == "scx":
+                    found.add((alias.name[len("scx."):], None))
+    return found
+
+
+REPLAY_MAY_IMPORT = {("complexes", "_vkey"), ("complexes", "face_tuple"),
+                     ("errors", None)}  # None: any name of the module
+
+
+def foreign_imports(source):
+    """The package imports of source that a replay may not make."""
+    return sorted((module, name or "") for module, name in
+                  package_imports(source)
+                  if (module, name) not in REPLAY_MAY_IMPORT
+                  and (module, None) not in REPLAY_MAY_IMPORT)
+
+
+def test_the_checker_sees_imports_a_replay_may_not_make():
+    clean = ("from itertools import chain\n"
+             "from .complexes import _vkey, face_tuple\n"
+             "from .errors import InvalidComplexError, ScxFormatError\n")
+    assert foreign_imports(clean) == []
+    assert foreign_imports(clean + "from .collapse import CollapsePair\n"
+                           "from .complexes import _ridge_map\n"
+                           "from . import scxio\nimport scx.subdivision\n"
+                           "import scx\ndef f():\n"
+                           "    from scx.census import iso\n") == [
+        ("", ""), ("census", "iso"), ("collapse", "CollapsePair"),
+        ("complexes", "_ridge_map"), ("scxio", ""), ("subdivision", "")]
+
+
+def test_verify_py_shares_nothing_with_the_engine():
+    """The replay takes only the label order from complexes and the error
+    types: nothing from the search, the reader, sd or the census."""
+    source = (SRC / "verify.py").read_text()
+    assert ("complexes", "face_tuple") in package_imports(source)
+    assert foreign_imports(source) == []

@@ -403,3 +403,73 @@ def test_certificate_text_roundtrip_is_byte_identical(case):
     parsed = certificate_from_text(text, C)
     assert parsed == cert
     assert certificate_to_text(parsed) == text
+
+
+def test_certificate_writer_refuses_bool_labels():
+    """str(True) is "True", which the reader refuses, so the writer does."""
+    res = is_collapsible(SimplicialComplex([(False, True), (True, 2)]))
+    assert res.verdict == "yes"
+    with pytest.raises(ScxFormatError) as e:
+        certificate_to_text(res.certificate)
+    assert str(e.value) == ("certificate serialization needs integer vertex "
+                            "labels; write the complex first to normalize it")
+
+
+@pytest.fixture(scope="module")
+def sd3_cert_text():
+    """sd^3 of the octahedron as read from its text, with the text of its
+    endo certificate: a remove line, 2592 collapse lines and the claim."""
+    C = complex_from_text(complex_to_text(sd_k(octahedron(), 3).complex))
+    text = certificate_to_text(is_endo_collapsible(C).certificate)
+    lines = text.split("\n")
+    assert lines[0].startswith("remove ") and lines[-2:] == \
+        ["claim endo-collapsible", ""]
+    assert len(lines) == 2595
+    return C, text
+
+
+def test_sd3_certificate_writes_back_byte_for_byte(sd3_cert_text):
+    C, text = sd3_cert_text
+    cert = certificate_from_text(text, C)
+    assert len(cert.pairs) == 2592
+    assert certificate_to_text(cert) == text
+
+
+def test_collapse_blocks_name_the_line_of_a_bad_field(sd3_cert_text):
+    """Lines 2..257 are the first block of collapse lines, 258..513 the
+    second: a fault at the end of one, or inside the next, names its line."""
+    C, text = sd3_cert_text
+    lines = text.split("\n")
+    for line_no in (2, 257, 258, 300):
+        _, free, coface = lines[line_no - 1].split(" ")
+        v = free.split(",")[0]
+        twice = tuple(sorted(map(int, free.split(",") * 2)))
+        for line, message in (
+                ("collapse x,%s %s" % (free, coface),
+                 "expected an integer, got 'x'"),
+                ("collapse +%s %s" % (free, coface),
+                 "non-canonical integer '+%s'" % v),
+                ("collapse  %s %s" % (free, coface), "malformed spacing"),
+                ("collapse %s %s,%s" % (free, free, free),
+                 "repeated vertex %s in face %r" % (v, twice))):
+            changed = lines[:line_no - 1] + [line] + lines[line_no:]
+            with pytest.raises(ScxFormatError) as e:
+                certificate_from_text("\n".join(changed), C)
+            assert str(e.value) == "line %d: %s" % (line_no, message)
+
+
+def test_a_collapse_line_after_the_claim_is_refused_in_a_block(sd3_cert_text):
+    C, text = sd3_cert_text
+    lines = text.split("\n")
+    claim = lines[-2]
+    for at in (100, 257, 2592):
+        changed = lines[:at] + [claim] + lines[at:-2] + [""]
+        with pytest.raises(ScxFormatError) as e:
+            certificate_from_text("\n".join(changed), C)
+        assert str(e.value) == "line %d: collapse after claim" % (at + 2)
+    # an unsorted face in a block is sorted, and the text writes back sorted
+    _, free, coface = lines[1].split(" ")
+    changed = list(lines)
+    changed[1] = "collapse %s %s" % (free, ",".join(coface.split(",")[::-1]))
+    assert certificate_from_text("\n".join(changed), C) == \
+        certificate_from_text(text, C)

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx.collapse import CollapseSequence, is_endo_collapsible
+from scx.cli import main
+from scx.collapse import CollapsePair, CollapseSequence, is_endo_collapsible
 from scx.complexes import (SimplicialComplex, face_tuple, octahedron,
                            simplex_boundary)
 from scx.errors import InvalidComplexError
-from scx.scxio import complex_from_text, complex_to_text
+from scx.scxio import (certificate_from_text, certificate_to_text,
+                       complex_from_text, complex_to_text)
 from scx.subdivision import sd_k
 from scx.verify import verify_certificate
 
@@ -212,3 +214,143 @@ def test_faces_outside_the_ranked_labels_read_as_face_tuple_reads_them():
     other = SimplicialComplex([(0, 1, 2), (1, 2, 4)])
     assert verify_certificate(cert, other) == \
         (False, "certificate is for a different complex")
+
+
+def mutant(data, C):
+    """A certificate of C with one pair dropped, swapped with its neighbour,
+    or given another face of C as its free face or coface."""
+    res = is_endo_collapsible(C, seed=data.draw(st.integers(0, 3)),
+                              strategy=data.draw(st.sampled_from(["greedy",
+                                                                  "lex"])))
+    assert res.verdict == "yes"
+    pairs = list(res.certificate.pairs)
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    how = data.draw(st.sampled_from(["drop", "swap", "free", "coface"]))
+    if how == "drop":
+        del pairs[k]
+    elif how == "swap":
+        k = min(k, len(pairs) - 2)
+        pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+    else:
+        face = data.draw(st.sampled_from(sorted(C.faces())))
+        pairs[k] = dataclasses.replace(pairs[k], **{how: face})
+    return tampered(res.certificate, pairs)
+
+
+# labels that are not the ints 0..n-1, so that replay maps every face
+# through its ranks: strs, the tuple labels of an in-memory sd, ints offset
+# by 5 and ints with a gap
+OTHER_LABELS = [simplex_boundary(3).relabel(dict(zip(range(4), "dcba"))),
+                sd_k(simplex_boundary(3), 1).complex,
+                SPHERES[1].relabel({v: v + 5 for v in SPHERES[1].vertices}),
+                SPHERES[2].relabel({0: 0, 1: 1, 2: 7, 3: 9})]
+
+
+def test_other_labels_leave_the_identity_ranks():
+    assert [C.vertices[0] for C in OTHER_LABELS] == ["a", (0,), 5, 0]
+    for C in OTHER_LABELS:
+        assert C.vertices != tuple(range(len(C.vertices)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_single_pair_mutations_on_other_labels_get_the_scan_verdict(data):
+    C = data.draw(st.sampled_from(OTHER_LABELS))
+    bad = mutant(data, C)
+    assert verify_certificate(bad, C) == verify_certificate(bad) == \
+        scan_replay(bad)
+
+
+def test_unsorted_faces_replay_as_their_sorted_selves():
+    """A face listed out of order misses the identity lookup and is read
+    through its ranks; the parser sorts a file's faces before replay."""
+    C = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    text = "remove 0 1 2\ncollapse 2,1 3,2,1\nclaim endo-collapsible\n"
+    cert = certificate_from_text(text, C)
+    assert cert.pairs[0] == CollapsePair((1, 2), (1, 2, 3))
+    assert certificate_to_text(cert) == \
+        "remove 0 1 2\ncollapse 1,2 1,2,3\nclaim endo-collapsible\n"
+    want = (True, "collapsed onto the boundary")
+    assert verify_certificate(cert, C) == want
+    for free, coface in (((2, 1), (1, 2, 3)), ((1, 2), (3, 1, 2)),
+                         ([2, 1], [3, 2, 1])):
+        unsorted = tampered(cert, [CollapsePair(free, coface)])
+        assert verify_certificate(unsorted, C) == want
+        assert verify_certificate(unsorted) == want
+    # on a sphere, every pair listed backwards
+    C = SPHERES[1]
+    cert = is_endo_collapsible(C).certificate
+    backwards = tampered(cert, [CollapsePair(p.free[::-1], p.coface[::-1])
+                                for p in cert.pairs])
+    assert verify_certificate(backwards, C) == scan_replay(backwards) == \
+        (True, "collapsed to a vertex")
+
+
+THREE_SPHERES = [complex_from_text(complex_to_text(
+    sd_k(simplex_boundary(4), k).complex)) for k in (1, 2)]
+
+
+def cert_of(C):
+    return is_endo_collapsible(C).certificate
+
+
+def test_three_sphere_certificates_round_trip_through_the_cli(tmp_path,
+                                                              capsys):
+    """scx endo --cert, then scx verify-cert, on sd and sd^2 of the boundary
+    of the 4-simplex (120 and 2880 facets)."""
+    for C, facets in zip(THREE_SPHERES, (120, 2880)):
+        assert len(C.facets) == facets and C.dim == 3
+        scx_file, cert_file = tmp_path / "s.scx", tmp_path / "s.cert"
+        scx_file.write_text(complex_to_text(C))
+        assert main(["endo", str(scx_file), "--cert", str(cert_file)]) == 0
+        assert capsys.readouterr().out.startswith("verdict yes\n")
+        assert main(["verify-cert", str(scx_file), str(cert_file)]) == 0
+        assert capsys.readouterr().out == "certificate ok\n"
+        cert = certificate_from_text(cert_file.read_text(), C)
+        assert certificate_to_text(cert) == cert_file.read_text()
+        assert len(cert.pairs) == (len(C.faces()) - 2) // 2
+    # the scan costs a pass over the alive faces per pair: the small rung
+    assert scan_replay(cert_of(THREE_SPHERES[0])) == \
+        (True, "collapsed to a vertex")
+
+
+def test_tampered_three_sphere_certificates_get_the_scan_verdict():
+    C = THREE_SPHERES[0]
+    cert = cert_of(C)
+    pairs = list(cert.pairs)
+    faces = sorted(C.faces(), key=lambda f: (len(f), f))
+    seen = {verify_certificate(tampered(cert, pairs[:-1]), C)[1]}
+    for k in range(0, len(pairs) - 1, 7):
+        p = pairs[k]
+        other = faces[(3 * k) % len(faces)]
+        for changed in (pairs[:k] + pairs[k + 1:],
+                        pairs[:k] + [pairs[k + 1], p] + pairs[k + 2:],
+                        pairs[:k] + [dataclasses.replace(p, free=other)]
+                        + pairs[k + 1:],
+                        pairs[:k] + [dataclasses.replace(p, coface=other)]
+                        + pairs[k + 1:]):
+            bad = tampered(cert, changed)
+            got = verify_certificate(bad, C)
+            assert got == scan_replay(bad), k
+            seen.add(re.sub(r"^pair \d+ ", "", got[1]))
+    # the mutants reach every rejection the scan knows
+    assert {"names a dead face", "removes a non-free face",
+            "is not a face and its immediate coface",
+            "terminal state is not a single vertex"} <= seen
+
+
+def test_labels_equal_to_0_to_n_minus_1_keep_their_own_type_rules():
+    """Only labels of type int read as their own ranks: floats equal to
+    0..n-1 are still refused, and bools still replay as the ints they
+    equal."""
+    cert = CollapseSequence(initial_facets=((0.0, 1.0), (1.0, 2.0)),
+                            removed_facet=None, pairs=(), claim="collapsible")
+    with pytest.raises(InvalidComplexError,
+                       match=re.escape("unsupported vertex label 0.0")):
+        verify_certificate(cert)
+    path = ((False, True), (True, 2))
+    cert = CollapseSequence(
+        initial_facets=path, removed_facet=None, claim="collapsible",
+        pairs=(CollapsePair((False,), (False, True)),
+               CollapsePair((1,), (1, 2))))
+    assert verify_certificate(cert) == (True, "collapsed to a vertex")
