@@ -502,17 +502,32 @@ def _check_bound_args(d, n_facets):
                                   "n_facets=%d" % (d, n_facets))
 
 
+# the largest k with 2^k below 10^4300: str() spells no int of more digits
+_MAX_EXPONENT = (10 ** 4300).bit_length() - 1
+
+
+def _bound_exponent(k):
+    """k, refused past _MAX_EXPONENT before 2^k is taken: a bound past 4300
+    digits raises BudgetExceededError."""
+    spend(k, _MAX_EXPONENT, "counting bound would have more than 4300 "
+          "digits: its exponent passes %(budget)d")
+    return k
+
+
 def manifold_count_bound(d, n_facets):
     """Upper bound 2^(d^2 N) for the number of d-manifold triangulation types
     with N facets."""
     _check_bound_args(d, n_facets)
-    return 2 ** (d * d * n_facets)
+    return 2 ** _bound_exponent(d * d * n_facets)
 
 
 def derived_count_bound(d, n_facets):
     """Upper bound 2^(d^2 (d+1)! N) used when passing to derived subdivisions."""
     _check_bound_args(d, n_facets)
-    return 2 ** (d * d * math.factorial(d + 1) * n_facets)
+    # d^2 N is checked first, so (d+1)! is taken only for d <= 119, or not
+    # at all when d^2 N is 0
+    k = _bound_exponent(d * d * n_facets)
+    return 2 ** _bound_exponent(k and k * math.factorial(d + 1))
 
 
 @dataclass(frozen=True)
@@ -529,7 +544,12 @@ class CensusRow:
     bound: int
 
 
-def census(max_vertices, seeds=16, max_nodes=10 ** 5):
+DEFAULT_CENSUS_SEEDS = 16
+DEFAULT_CENSUS_MAX_NODES = 10 ** 5
+
+
+def census(max_vertices, seeds=DEFAULT_CENSUS_SEEDS,
+           max_nodes=DEFAULT_CENSUS_MAX_NODES):
     """Census table of closed surfaces by vertex count and topological type."""
     _search_options("auto", 0, seeds, max_nodes)  # before any enumeration
     _check_surface_cap(max_vertices)  # and the cap, before any search

@@ -12,9 +12,10 @@ identical invocations produce identical bytes.
 import argparse
 import sys
 
-from .census import census, derived_count_bound, iso, manifold_count_bound
-from .collapse import (DEFAULT_SEEDS, STRATEGIES, collapses_to,
-                       discrete_morse_vector, is_collapsible,
+from .census import (DEFAULT_CENSUS_MAX_NODES, DEFAULT_CENSUS_SEEDS, census,
+                     derived_count_bound, iso, manifold_count_bound)
+from .collapse import (DEFAULT_ATTEMPTS, DEFAULT_SEEDS, STRATEGIES,
+                       collapses_to, discrete_morse_vector, is_collapsible,
                        is_endo_collapsible, sd_endo_collapsibility_report)
 from .complexes import (SimplicialComplex, face_tuple, full_simplex,
                         octahedron, simplex_boundary)
@@ -276,7 +277,7 @@ def _endo_args(p):
 
 def _morse_args(p):
     p.add_argument("file")
-    p.add_argument("--attempts", type=int, default=16)
+    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -306,8 +307,8 @@ def _iso_args(p):
 
 def _census_args(p):
     p.add_argument("-n", "--max-vertices", type=int, default=7)
-    p.add_argument("--tries", type=int, default=16)
-    p.add_argument("--budget", type=int, default=10 ** 5)
+    p.add_argument("--tries", type=int, default=DEFAULT_CENSUS_SEEDS)
+    p.add_argument("--budget", type=int, default=DEFAULT_CENSUS_MAX_NODES)
 
 
 def _verify_cert_args(p):

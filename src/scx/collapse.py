@@ -48,6 +48,7 @@ from .errors import DEFAULT_MAX_NODES, InvalidComplexError, check_budget
 from .subdivision import sd
 
 DEFAULT_SEEDS = 64
+DEFAULT_ATTEMPTS = 16  # discrete_morse_vector's runs
 _SEED_STRIDE = 1000003
 
 
@@ -487,7 +488,7 @@ def sd_endo_collapsibility_report(complex, strategy="auto", seed=0,
                       conclusion=conclusion)
 
 
-def discrete_morse_vector(complex, attempts=16, seed=0):
+def discrete_morse_vector(complex, attempts=DEFAULT_ATTEMPTS, seed=0):
     """Best discrete Morse vector found by random runs.
 
     Each run collapses while a free face exists and otherwise deletes one

@@ -26,7 +26,21 @@ Integers must be spelled as the writer spells them: ASCII digits, no
 leading zero, underscore or "+", a "-" only on a negative number ("dim -1"
 heads the empty complex), single spaces or certificate-face commas between
 fields and nothing after the last.  Any other spelling is rejected with
-its field and line.
+its field and line, and so is a field too long for int() to read.
+
+Both readers take one line at a time.  A facet line, and a collapse line
+before the claim, is matched by one compiled pattern (_FACET_LINE,
+_COLLAPSE_LINE) and read with map(int, ...).  Any other line, or one where
+int() fails on a field past Python's int-to-str digit limit, goes to the
+per-field diagnosis (_split_strict, _int_fields, the directive dispatch),
+which names the line.  It refuses every line the patterns refuse:
+_split_strict refuses an empty field, so a line it passes is fields joined
+by single spaces; a collapse line then needs three of them, the faces
+split at commas; and _int_fields refuses a field int() cannot read (its
+first loop) or that is not an _INT (its second).  The patterns accept
+exactly such lines of _INT fields, and "collapse F F".  One match covers
+one line, so its backtracking memory ends with the line: reading the
+10368 facet lines of sd^4 of the octahedron peaks under 4 MB.
 
 Certificates use one line per step:
 
@@ -50,11 +64,9 @@ from .errors import InvalidComplexError, ScxFormatError
 MAGIC = "scx 1"
 _INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
-_FACET_BLOCK = re.compile("(?:%s(?: %s)*\n)*" % (_INT, _INT))
-_BLOCK_LINES = 256  # facet or collapse lines per block match
-_FACE = "%s(?:,%s)*" % (_INT, _INT)
-_COMMA_INTS = re.compile(_FACE)
-_COLLAPSE_BLOCK = re.compile("(?:collapse %s %s\n)*" % (_FACE, _FACE))
+_FACET_LINE = re.compile("%s(?: %s)*" % (_INT, _INT))
+_FACE = "(%s(?:,%s)*)" % (_INT, _INT)
+_COLLAPSE_LINE = re.compile("collapse %s %s" % (_FACE, _FACE))
 
 
 def _relabel_once(facets):
@@ -140,27 +152,18 @@ def complex_from_text(text):
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
-    # one match spells each block of facet lines; only if one fails is each
-    # line checked alone, so that the error names the line.  A match's
-    # backtracking memory grows with the text it covers, hence the blocks.
-    start = sum(len(line) + 1 for line in lines[:4])
-    spelled = True
-    for k in range(4, len(lines), _BLOCK_LINES):
-        block = lines[k:k + _BLOCK_LINES]
-        end = start + sum(map(len, block)) + len(block)
-        spelled = _FACET_BLOCK.fullmatch(text, start, end)
-        if not spelled:
-            break
-        start = end
     facets = []
     # vertex -> indices of the earlier facets containing it; two distinct
     # facets of one size cannot nest, so it is kept only if sizes differ
     stars = {} if len({line.count(" ") for line in lines[4:]}) > 1 else None
-    for k in range(n_facets):
+    for k, line in enumerate(lines[4:]):
         line_no = 5 + k
-        line = lines[4 + k]
-        f = tuple(map(int, line.split(" ")) if spelled
-                  else _int_fields(_split_strict(line, line_no), line_no))
+        try:
+            if not _FACET_LINE.fullmatch(line):
+                raise ValueError
+            f = tuple(map(int, line.split(" ")))
+        except ValueError:  # refused by the pattern or by int()
+            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
         for a, b in zip(f, f[1:]):
             if a >= b:
                 raise ScxFormatError("facet vertices must be strictly increasing",
@@ -181,7 +184,8 @@ def complex_from_text(text):
                 stars.setdefault(v, []).append(k)
         facets.append(f)
     used = {v for F in facets for v in F}
-    if used != set(range(n_vertices)):
+    # the count first: n_vertices comes from the header, not from the text
+    if len(used) != n_vertices or used != set(range(n_vertices)):
         raise ScxFormatError("vertex labels must be exactly 0..%d"
                              % (n_vertices - 1), 4)
     got_dim = max((len(F) for F in facets), default=0) - 1
@@ -238,14 +242,8 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _parse_face(token, line_no, spelled=False):
-    """The face a comma-separated token names, sorted; spelled says the
-    token is known to match _COMMA_INTS."""
-    fields = token.split(",")
-    if spelled or _COMMA_INTS.fullmatch(token):
-        vs = tuple(map(int, fields))
-    else:  # raises, naming the first bad field
-        vs = tuple(_int_fields(fields, line_no))
+def _face(vs, line_no):
+    """The face of the ints vs, sorted; a repeated vertex is refused."""
     if len(vs) > 1 and not all(map(lt, vs, vs[1:])):
         vs = tuple(sorted(vs))
         if len(set(vs)) != len(vs):
@@ -256,25 +254,9 @@ def _parse_face(token, line_no, spelled=False):
     return vs
 
 
-def _collapse_block(lines, i, text, start):
-    """The end of the run of at most _BLOCK_LINES collapse lines from line
-    i, which starts at offset `start` of text, and whether one match
-    spells them all."""
-    stop = min(i + _BLOCK_LINES, len(lines))
-    j = i + 1
-    while j < stop and lines[j].startswith("collapse "):
-        j += 1
-    end = start + sum(map(len, lines[i:j])) + j - i
-    return j, end, _COLLAPSE_BLOCK.fullmatch(text, start, end) is not None
-
-
 def certificate_from_text(text, complex):
-    """Parse a certificate against the complex it talks about.
-
-    As in complex_from_text, one match spells each block of collapse lines,
-    ended by the first line of another kind; only a block that fails it is
-    read line by line, so that the error names the line.
-    """
+    """Parse a certificate against the complex it talks about, naming the
+    line of the first fault."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -282,23 +264,18 @@ def certificate_from_text(text, complex):
     pairs = []
     claim = None
     targets = []
-    i = start = checked = 0  # lines before `checked` were in a tried block
-    while i < len(lines):
-        line = lines[i]
-        line_no = i + 1
-        if i >= checked and claim is None and line.startswith("collapse "):
-            j, end, spelled = _collapse_block(lines, i, text, start)
-            checked = j
-            if spelled:
-                for line_no, line in enumerate(lines[i:j], line_no):
-                    _, free, coface = line.split(" ")
-                    pairs.append(CollapsePair(
-                        _parse_face(free, line_no, True),
-                        _parse_face(coface, line_no, True)))
-                i, start = j, end
+    for line_no, line in enumerate(lines, 1):
+        m = claim is None and _COLLAPSE_LINE.fullmatch(line)
+        if m:
+            try:
+                free = tuple(map(int, m[1].split(",")))
+                coface = tuple(map(int, m[2].split(",")))
+            except ValueError:  # refused by int(): diagnosed below
+                pass
+            else:
+                pairs.append(CollapsePair(_face(free, line_no),
+                                          _face(coface, line_no)))
                 continue
-        start += len(line) + 1
-        i += 1
         parts = _split_strict(line, line_no)
         if parts[0] == "remove":
             if removed is not None or pairs or claim:
@@ -309,8 +286,9 @@ def certificate_from_text(text, complex):
                 raise ScxFormatError("collapse after claim", line_no)
             if len(parts) != 3:
                 raise ScxFormatError("collapse needs two faces", line_no)
-            pairs.append(CollapsePair(free=_parse_face(parts[1], line_no),
-                                      coface=_parse_face(parts[2], line_no)))
+            free, coface = (_face(tuple(_int_fields(face.split(","), line_no)),
+                                  line_no) for face in parts[1:])
+            pairs.append(CollapsePair(free, coface))
         elif parts[0] == "claim":
             if claim is not None:
                 raise ScxFormatError("duplicate claim", line_no)

@@ -8,14 +8,16 @@ facts in test_families.
 
 import argparse
 import hashlib
+import math
 import subprocess
 import sys
 import time
 
 import pytest
 
-from scx.census import (canonical_label, census, enumerate_disks,
-                        enumerate_surfaces, iso)
+from scx.census import (canonical_label, census, derived_count_bound,
+                        enumerate_disks, enumerate_surfaces, iso,
+                        manifold_count_bound)
 from scx.cli import COMMANDS, build_parser, main
 from scx.collapse import (collapses_to, discrete_morse_vector,
                           is_collapsible, is_endo_collapsible,
@@ -314,6 +316,37 @@ def test_bounds(capsys):
     assert "torus-quotient 2 4 0" in out
 
 
+def test_bounds_print_up_to_4300_digits_and_refuse_past_them(capsys):
+    code, out, err = run(capsys, "bounds", "-d", "2", "-n", "595")
+    derived = out.split("\n")[2]
+    assert (code, err) == (0, "") and derived == (
+        "derived-count-bound %d" % 2 ** (4 * 6 * 595))
+    assert len(derived.split(" ")[1]) == 4299
+    # these ran out of memory before the power was refused
+    for argv in (("-d", "40", "-n", "1"), ("-d", "3", "-n", "100000000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out) == (2, "") and err.startswith("budget exceeded: ")
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_a_field_too_long_for_int_is_a_format_error(tmp_path, capsys):
+    long = "1" * 5000
+    write_complex(DISK2, str(tmp_path / "disk.scx"))
+    (tmp_path / "long.scx").write_text(
+        "scx 1\ndim 2\nvertices 4\nfacets 2\n0 1 2\n1 2 %s\n" % long)
+    assert run(capsys, "validate", str(tmp_path / "long.scx")) == (
+        3, "", "format error: line 6: expected an integer, got %r\n" % long)
+    for cert, line_no in (("remove 0 1 2\ncollapse %s 1,2\n" % long, 2),
+                          ("collapse 1,2 1,2,%s\n" % long, 1),
+                          ("remove 0 1 %s\n" % long, 1)):
+        (tmp_path / "long.cert").write_text(cert + "claim collapsible\n")
+        assert run(capsys, "verify-cert", str(tmp_path / "disk.scx"),
+                   str(tmp_path / "long.cert")) == (
+            3, "", "format error: line %d: expected an integer, got %r\n"
+            % (line_no, long))
+
+
 def test_bounds_on_negative_input(capsys):
     for argv in (("-d", "-2"), ("-d", "-1"), ("-n", "-3")):
         code, out, err = run(capsys, "bounds", *argv)
@@ -442,6 +475,10 @@ BUDGET_CONTRACT = [
     ("bounds", ("bounds", "-d", "-1"), 3, "",
      "invalid input: bounds need d >= 0 and n_facets >= 0, got d=-1, "
      "n_facets=20\n"),
+    # 2^(4 * 3! * 596) has 4306 digits, past what str() spells
+    ("bounds-digits", ("bounds", "-d", "2", "-n", "596"), 2, "",
+     "budget exceeded: counting bound would have more than 4300 digits: "
+     "its exponent passes 14284\n"),
 ]
 
 
@@ -523,6 +560,9 @@ def test_budgeted_functions_refuse_a_negative_budget(call, message):
 
 OCT = octahedron()
 
+DIGITS = ("counting bound would have more than 4300 digits: its exponent "
+          "passes 14284")
+
 # budgeted public function -> (call past its budget, message, requested,
 # budget): requested is the work asked for, or the count that passed the
 # budget, and always exceeds it
@@ -560,6 +600,16 @@ API_OVERRUN_CONTRACT = [
      "surface census capped at 10 vertices", 11, 10),
     ("census", lambda: census(11),
      "surface census capped at 10 vertices", 11, 10),
+    # the exponent is refused before the power is taken
+    ("manifold_count_bound", lambda: manifold_count_bound(2, 3572),
+     DIGITS, 4 * 3572, 14284),
+    ("derived_count_bound", lambda: derived_count_bound(2, 596),
+     DIGITS, 4 * 6 * 596, 14284),
+    ("derived_count_bound-factorial", lambda: derived_count_bound(40, 1),
+     DIGITS, 1600 * math.factorial(41), 14284),
+    # d^2 N alone passes the budget: (d+1)! is never taken
+    ("derived_count_bound-before-factorial",
+     lambda: derived_count_bound(10 ** 6, 1), DIGITS, 10 ** 12, 14284),
 ]
 
 

@@ -9,7 +9,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scx.collapse import collapses_to, is_collapsible, is_endo_collapsible
@@ -144,7 +144,7 @@ def test_parser_rejects_a_missing_final_newline():
 def test_reading_a_large_file_takes_bounded_memory():
     """The 10368 facet lines of sd^4 of the octahedron, 148735 bytes: one
     spelling match over all of them took 8.7 MB of backtracking memory, a
-    9 MB peak in all; matching them in blocks keeps it under 4 MB."""
+    9 MB peak in all; one match per line keeps it under 4 MB."""
     text = complex_to_text(sd_k(octahedron(), 4).complex)
     tracemalloc.start()
     try:
@@ -154,6 +154,21 @@ def test_reading_a_large_file_takes_bounded_memory():
         tracemalloc.stop()
     assert len(C.facets) == 10368 and len(text) == 148735
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_a_huge_vertex_count_is_refused_in_bounded_memory():
+    """The header's count is checked against the labels the text uses
+    before range(n_vertices) is built: a 40-byte file claiming two million
+    vertices is refused without a set of two million ints."""
+    text = "scx 1\ndim 0\nvertices 2000000\nfacets 1\n0\n"
+    tracemalloc.start()
+    try:
+        e = bad(text, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e) == "line 4: vertex labels must be exactly 0..1999999"
+    assert peak < 2 ** 20, peak
 
 
 def test_a_bad_line_past_the_first_block_is_named():
@@ -473,3 +488,136 @@ def test_a_collapse_line_after_the_claim_is_refused_in_a_block(sd3_cert_text):
     changed[1] = "collapse %s %s" % (free, ",".join(coface.split(",")[::-1]))
     assert certificate_from_text("\n".join(changed), C) == \
         certificate_from_text(text, C)
+
+
+# -- both readers against a field-by-field oracle ------------------------------
+
+HUGE = "1" * 4301  # one digit past the longest int str() spells by default
+
+
+def field_fault(fields):
+    """The refusal of the first bad field, or None: each field must be
+    read by int() and be spelled as str() spells what int() read."""
+    for p in fields:
+        try:
+            int(p)
+        except ValueError:
+            return "expected an integer, got %r" % p
+    for p in fields:
+        if str(int(p)) != p:
+            return "non-canonical integer %r" % p
+    return None
+
+
+def int_words(text, complex_text):
+    """Per line of text, the index of its first integer word (past the last
+    word on a claim line), or None for the magic line, kept as written."""
+    starts = []
+    for k, line in enumerate(text.split("\n")[:-1]):
+        if complex_text:
+            starts.append(None if k == 0 else 1 if k < 4 else 0)
+        else:
+            starts.append(2 if line.startswith("claim ") else 1)
+    return starts
+
+
+def oracle_line_fault(line, start):
+    """The refusal of one line whose words before `start` were left as
+    written: the fields of a collapse line are checked face by face, those
+    of any other line all at once."""
+    words = line.split(" ")
+    if "" in words:
+        return "malformed spacing"
+    if start is None:
+        return None
+    if words[0] != "collapse":
+        return field_fault(words[start:])
+    faults = (field_fault(face.split(",")) for face in words[start:])
+    return next(filter(None, faults), None)
+
+
+ARABIC_INDIC = str.maketrans("0123456789",
+                             "".join(map(chr, range(0x660, 0x66A))))
+
+
+def respell(field):
+    """Spellings of one field: as written, as int() reads it but str()
+    never writes it, and ones int() cannot read at all."""
+    lenient = ["+" + field, "0" + field, "0_" + field, field + "\t",
+               field + "\r", field.translate(ARABIC_INDIC)]
+    return [field] + lenient + ["-0"] * (field == "0") + ["x", HUGE, ""]
+
+
+@st.composite
+def mangled(draw, text, starts):
+    """text with a few of its integer fields respelled and a few spaces
+    doubled, on every line but the magic one."""
+    lines = text.split("\n")[:-1]
+    open_lines = [k for k, start in enumerate(starts) if start is not None]
+    with_ints = [k for k in open_lines
+                 if starts[k] < len(lines[k].split(" "))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.sampled_from(with_ints))
+        words = lines[k].split(" ")
+        w = draw(st.integers(starts[k], len(words) - 1))
+        fields = words[w].split(",")
+        f = draw(st.integers(0, len(fields) - 1))
+        fields[f] = draw(st.sampled_from(respell(fields[f])))
+        words[w] = ",".join(fields)
+        lines[k] = " ".join(words)
+    for _ in range(draw(st.integers(0, 1))):
+        k = draw(st.sampled_from(open_lines))
+        words = lines[k].split(" ")
+        at = draw(st.integers(0, len(words)))
+        lines[k] = " ".join(words[:at]) + "  " + " ".join(words[at:])
+    return "\n".join(lines) + "\n"
+
+
+def verdict(read, *args):
+    """What a reader returns, or the message and line it refuses with."""
+    try:
+        return read(*args)
+    except ScxFormatError as e:
+        return str(e), e.line_no
+
+
+def oracle_verdict(variant, starts, answer):
+    """The oracle's verdict on a mangled text whose values are unchanged:
+    the first line at fault, else the answer the untouched text gives."""
+    for line_no, (line, start) in enumerate(
+            zip(variant.split("\n")[:-1], starts), 1):
+        fault = oracle_line_fault(line, start)
+        if fault:
+            return "line %d: %s" % (line_no, fault), line_no
+    return answer
+
+
+SCX_TEXTS = [complex_to_text(C) for C in
+             (DISK2, octahedron(), full_simplex(3), SimplicialComplex([]),
+              SimplicialComplex([(0, 1, 2), (2, 3), (4,)]))]
+
+
+@SETTINGS
+@given(st.sampled_from(SCX_TEXTS).flatmap(lambda text: st.tuples(
+    st.just(text), mangled(text, int_words(text, True)))))
+@example((SCX_TEXTS[0], SCX_TEXTS[0].replace("1 2 3", "1 2 " + HUGE)))
+def test_complex_reader_matches_a_field_by_field_oracle(case):
+    text, variant = case
+    want = oracle_verdict(variant, int_words(text, True),
+                          complex_from_text(text))
+    assert verdict(complex_from_text, variant) == want
+
+
+@SETTINGS
+@given(disk_certificates().flatmap(lambda case: st.tuples(
+    st.just(case), mangled(certificate_to_text(case[1]),
+                           int_words(certificate_to_text(case[1]), False)))))
+@example(((DISK2, is_collapsible(DISK2).certificate),
+          certificate_to_text(is_collapsible(DISK2).certificate).replace(
+              "collapse 0 ", "collapse %s " % HUGE)))
+def test_certificate_reader_matches_a_field_by_field_oracle(case):
+    (C, cert), variant = case
+    starts = int_words(certificate_to_text(cert), False)
+    assert verdict(certificate_from_text, variant, C) == \
+        oracle_verdict(variant, starts, cert)
+
