@@ -24,13 +24,18 @@ stopped right there.
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
-Results are deduplicated by canonical form.
+Results are deduplicated by canonical form.  The disk census canonicalises
+a grown disk only when its new triangle has the least removal key among
+the disk's removable triangles (the inverses of the two moves), a screen
+on an isomorphism invariant of the pair (disk, triangle); enumerate_disks
+proves that every class is still reached.
 """
 
 import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 
 from .complexes import SimplicialComplex, face_tuple, _fkey
 from .collapse import _overall_verdict, _search_options, is_endo_collapsible
@@ -448,13 +453,61 @@ def enumerate_surfaces(n_vertices):
     return [out[k] for k in sorted(out)]
 
 
+def _removal_keys(facets):
+    """Each removable triangle of a disk of two or more triangles, with its
+    removal key, as (triangle, key) pairs.
+
+    A removable triangle leaves a disk when deleted; the removable ones are
+    the inverses of enumerate_disks' two moves.  An ear has two boundary
+    edges au and av; its apex a then lies in no other triangle, since the
+    link of a is a path from u to v through the edge uv.  A corner has
+    exactly one boundary edge uv, and the opposite vertex w is interior.
+    The key reads only edge counts and vertex degrees (triangles per
+    vertex), so an isomorphism of disks carries each removable triangle to
+    one with the same key: (0, sorted degrees of u and v) for an ear,
+    (1, degree of w, sorted degrees of u and v) for a corner.
+    """
+    edge_count = Counter(chain.from_iterable(map(combinations, facets,
+                                                  repeat(2))))
+    degree = Counter(chain.from_iterable(facets))
+    on_boundary = set(chain.from_iterable(
+        e for e, c in edge_count.items() if c == 1))
+    for F in facets:
+        a, b, c = F
+        # the vertices of F facing its boundary edges
+        facing = [x for x, e in ((c, (a, b)), (b, (a, c)), (a, (b, c)))
+                  if edge_count[e] == 1]
+        if len(facing) == 2:
+            yield F, (0, tuple(sorted(map(degree.__getitem__, facing))))
+        elif len(facing) == 1 and facing[0] not in on_boundary:
+            w = facing[0]
+            u, v = (x for x in F if x != w)
+            yield F, (1, degree[w], tuple(sorted((degree[u], degree[v]))))
+
+
 def enumerate_disks(max_triangles):
     """Triangulated disks with up to the given number of triangles, up to
     isomorphism, keyed by triangle count.
 
     Level t+1 comes from level t by two boundary moves: an ear over one
     boundary edge using a fresh vertex, and a corner fill over two consecutive
-    boundary edges whose endpoints are not yet joined by an edge.
+    boundary edges whose endpoints are not yet joined by an edge.  A grown
+    disk is kept only when its new triangle has the least removal key
+    (_removal_keys) among its removable triangles; only kept disks are
+    canonicalised and deduplicated.
+
+    Every class X of level t+1 is still reached.  X has a removable
+    triangle: a triangulated disk is shellable, and the last triangle of a
+    shelling of X meets the rest in one edge (an ear) or in two (a corner).
+    Let r be a removable triangle of X with the least key.  X - r is a
+    disk of t triangles, and by induction its class has a representative P
+    in level t, with an isomorphism f from X - r to P.  If r is an ear over
+    uv, uv is a boundary edge of X - r, and the loop makes the ear over
+    f(uv) from P.  If r is a corner at w over uv, then wu and wv are the
+    boundary edges at w in X - r and uv is no edge of it, so the loop makes
+    the corner at f(w) from P.  Either way the grown disk is isomorphic to
+    X by an isomorphism carrying its new triangle to r, so its new
+    triangle has r's key, the least one, and it is kept.
     """
     if max_triangles < 1:
         return {}
@@ -463,10 +516,8 @@ def enumerate_disks(max_triangles):
     for t in range(1, max_triangles):
         nxt = {}
         for disk in levels[t]:
-            edge_count = Counter()
-            for F in disk.facets:
-                for e in itertools.combinations(F, 2):
-                    edge_count[e] += 1
+            edge_count = Counter(chain.from_iterable(
+                map(combinations, disk.facets, repeat(2))))
             boundary = [e for e, c in edge_count.items() if c == 1]
             fresh = max(disk.vertices) + 1
             grown = []
@@ -482,6 +533,9 @@ def enumerate_disks(max_triangles):
                     continue
                 grown.append(disk.facets + (face_tuple((u, v, w)),))
             for facets in grown:
+                keys = dict(_removal_keys(facets))
+                if keys[facets[-1]] > min(keys.values()):
+                    continue  # some removable triangle has a smaller key
                 # disk's facets are canonical int triangles, and the new
                 # triangle is new: an ear has a fresh vertex, and a corner
                 # fill's edge uv is absent; so the sorted facets are

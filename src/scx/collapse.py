@@ -39,11 +39,12 @@ so a node costs the size of that list, not a scan of every face.
 
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, repeat
 
-from .complexes import face_tuple, _fkey, _ridge_map
+from .complexes import face_tuple, _fkey
 from .errors import DEFAULT_MAX_NODES, InvalidComplexError, check_budget
 from .subdivision import sd
 
@@ -432,7 +433,9 @@ def is_endo_collapsible(complex, facet=None, strategy="greedy", seed=0,
         if facet not in complex.facets:
             raise InvalidComplexError("%r is not a facet" % (facet,))
     labels, rank, facets = complex._ranked()
-    bd = [r for r, fs in _ridge_map(facets).items() if len(fs) == 1]
+    ridges = Counter(chain.from_iterable(map(combinations, facets,
+                                             repeat(complex.dim))))
+    bd = [r for r, n in ridges.items() if n == 1]
     return _decide(complex, labels, _levels(facets),
                    _levels(bd) if bd else None, "endo-collapsible",
                    facets if facet is None

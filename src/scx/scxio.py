@@ -228,17 +228,21 @@ def certificate_to_text(cert):
         raise ScxFormatError(
             "certificate serialization needs integer vertex labels; "
             "write the complex first to normalize it")
+    if cert.claim == "collapse-to" and targets is None:
+        raise ScxFormatError("collapse-to certificate without a target")
     lines = []
-    if cert.removed_facet is not None:
-        lines.append("remove " + " ".join(map(str, cert.removed_facet)))
-    lines.extend("collapse %s %s" % (",".join(map(str, p.free)),
-                                     ",".join(map(str, p.coface)))
-                 for p in cert.pairs)
-    lines.append("claim " + cert.claim)
-    if cert.claim == "collapse-to":
-        if targets is None:
-            raise ScxFormatError("collapse-to certificate without a target")
-        lines.extend("target " + " ".join(map(str, F)) for F in targets)
+    try:
+        if cert.removed_facet is not None:
+            lines.append("remove " + " ".join(map(str, cert.removed_facet)))
+        lines.extend("collapse %s %s" % (",".join(map(str, p.free)),
+                                         ",".join(map(str, p.coface)))
+                     for p in cert.pairs)
+        lines.append("claim " + cert.claim)
+        if targets is not None:
+            lines.extend("target " + " ".join(map(str, F)) for F in targets)
+    except ValueError:  # str() spells no int of more than 4300 digits
+        raise ScxFormatError(
+            "certificate serialization needs labels of at most 4300 digits")
     return "\n".join(lines) + "\n"
 
 

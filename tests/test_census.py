@@ -20,6 +20,7 @@ from scx import (BudgetExceededError, InvalidComplexError, SimplicialComplex,
                  full_simplex, octahedron, simplex_boundary)
 from scx.census import (
     IsoCertificate,
+    _removal_keys,
     canonical_label,
     census,
     check_bounds,
@@ -593,6 +594,92 @@ def test_disk_counts_match_raw_oracle():
             assert (sc.kind, sc.genus, sc.boundary_components) == (
                 "surface-with-boundary", 0, 1)
             assert len(d.facets) == t
+
+
+def grow_every_disk(max_triangles):
+    """The disk census without the removal-key screen: every disk grown by
+    an ear or a corner move is canonicalised and deduplicated."""
+    levels = {1: [SimplicialComplex([(0, 1, 2)])]}
+    for t in range(1, max_triangles):
+        found = {}
+        for disk in levels[t]:
+            edge_count = Counter(e for F in disk.facets
+                                 for e in itertools.combinations(F, 2))
+            boundary = [e for e, c in edge_count.items() if c == 1]
+            fresh = max(disk.vertices) + 1
+            grown = [(x, y, fresh) for x, y in boundary]
+            at_vertex = {}
+            for x, y in boundary:
+                at_vertex.setdefault(x, []).append(y)
+                at_vertex.setdefault(y, []).append(x)
+            grown += [_tri((u, v, w)) for w, (u, v) in at_vertex.items()
+                      if _tri((u, v)) not in edge_count]
+            for F in grown:
+                canon, _ = canonical_label(
+                    SimplicialComplex(disk.facets + (F,)))
+                found.setdefault(canon.facets, canon)
+        levels[t + 1] = [found[k] for k in sorted(found)]
+    return levels
+
+
+def is_disk(facets):
+    sc = SimplicialComplex(facets).classify_surface()
+    return (sc.kind, sc.orientable, sc.genus, sc.boundary_components) == (
+        "surface-with-boundary", True, 0, 1)
+
+
+def test_disk_census_equals_canonicalising_every_grown_disk():
+    every = grow_every_disk(8)
+    for n in range(9):
+        assert enumerate_disks(n) == {t: every[t] for t in range(1, n + 1)}, n
+
+
+# enumerate_disks(10) as it was before the removal-key screen: the sha256 of
+# repr((t, [disk.facets for each disk])) for each level t in order
+DISKS_10_DIGEST = (
+    "509a064272ea66af4426822e64ae81526f05e6e338cdf70c05e68334ef649dfb")
+
+
+def test_disk_census_to_ten_triangles_is_frozen():
+    levels = enumerate_disks(10)
+    assert [len(levels[t]) for t in sorted(levels)] == [
+        1, 1, 2, 5, 9, 28, 73, 244, 782, 2805]
+    digest = hashlib.sha256()
+    for t in sorted(levels):
+        digest.update(repr((t, [D.facets for D in levels[t]])).encode())
+    assert digest.hexdigest() == DISKS_10_DIGEST
+
+
+def test_every_disk_has_a_removable_triangle_leaving_a_smaller_disk():
+    """A triangle is removable exactly when deleting it leaves a disk, and
+    that disk's canonical form is in the previous level."""
+    levels = enumerate_disks(8)
+    for t in range(2, 9):
+        previous = {D.facets for D in levels[t - 1]}
+        for D in levels[t]:
+            keys = dict(_removal_keys(D.facets))
+            assert keys, D.facets
+            for F in D.facets:
+                rest = [G for G in D.facets if G != F]
+                assert (F in keys) == is_disk(rest), (D.facets, F)
+                if F in keys:
+                    canon, _ = canonical_label(SimplicialComplex(rest))
+                    assert canon.facets in previous, (D.facets, F)
+
+
+DISKS_8 = [D for level in enumerate_disks(8).values() for D in level
+           if len(D.facets) > 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(DISKS_8) - 1), st.randoms(use_true_random=False))
+def test_removal_keys_survive_relabelling(i, rng):
+    D = DISKS_8[i]
+    labels = rng.sample(range(100), D.n_vertices)
+    m = dict(zip(D.vertices, labels))
+    want = {_tri(map(m.__getitem__, F)): key
+            for F, key in _removal_keys(D.facets)}
+    assert dict(_removal_keys(D.relabel(m).facets)) == want
 
 
 def test_census_table_and_bounds():

@@ -430,6 +430,16 @@ def test_certificate_writer_refuses_bool_labels():
                             "labels; write the complex first to normalize it")
 
 
+def test_certificate_writer_refuses_labels_past_4300_digits():
+    """str() spells no int of more than 4300 digits."""
+    res = is_collapsible(SimplicialComplex([(10 ** 5000, 0), (0, 1)]))
+    assert res.verdict == "yes"
+    with pytest.raises(ScxFormatError) as e:
+        certificate_to_text(res.certificate)
+    assert str(e.value) == ("certificate serialization needs labels of at "
+                            "most 4300 digits")
+
+
 @pytest.fixture(scope="module")
 def sd3_cert_text():
     """sd^3 of the octahedron as read from its text, with the text of its
