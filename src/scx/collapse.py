@@ -32,17 +32,17 @@ of their labels, and only the certificate's faces are mapped back to labels,
 unless the labels are the ints 0..n-1 and so the ranks themselves.
 Both rollouts run one loop that reads the engine's arrays in place and
 differs only in its picker.
-The exhaustive search keeps the free faces of every open node: a child's
-list is its parent's, edited where the move changed a face's coface count,
-so a node costs the size of that list, not a scan of every face.
+The exhaustive search only reads the engine.  A node is its alive mask
+(the memo key) and its free mask, ints with one bit per face index; a
+child's free mask is its parent's with the faces of the move's pair
+recounted, so a node costs those faces, not a scan of every face.
 """
 
 import random
-from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations, compress, count, repeat
 
 from .complexes import face_tuple, _fkey
 from .errors import DEFAULT_MAX_NODES, InvalidComplexError, check_budget
@@ -148,32 +148,19 @@ class _Engine:
         self.up = self.up0[:]
         if removed is not None:
             self.kill(self.index[removed])
-        self.cand = self.list_free()
+        self.cand = [i for i in range(len(self.faces))
+                     if self.alive[i] and self.up[i] == 1]
 
-    def list_free(self):
-        return [i for i in range(len(self.faces))
-                if self.alive[i] and self.up[i] == 1]
-
-    def kill(self, *xs):
-        """Kill the faces xs in turn: (xs, touched), touched listing each
-        alive face whose coface count dropped, once per drop."""
+    def kill(self, x):
+        """Kill the face x: the alive faces whose coface count dropped."""
         alive, up, touched = self.alive, self.up, []
-        for x in xs:
-            alive[x] = 0
-            for r in self.sub[x]:
-                if alive[r]:
-                    up[r] -= 1
-                    touched.append(r)
-        self.n_alive -= len(xs)
-        return xs, touched
-
-    def undo(self, record):
-        xs, touched = record
-        for r in touched:
-            self.up[r] += 1
-        for x in xs:
-            self.alive[x] = 1
-        self.n_alive += len(xs)
+        alive[x] = 0
+        for r in self.sub[x]:
+            if alive[r]:
+                up[r] -= 1
+                touched.append(r)
+        self.n_alive -= 1
+        return touched
 
 
 def _collapse(engine, rng, goal):
@@ -234,66 +221,76 @@ def _rollout(engine, removed, rng):
     return out if engine.n_alive == engine.goal_size else None
 
 
-def _free_after(engine, free, record):
-    """The free faces, in index order, after the move `record` out of a
-    state whose free faces were `free`.  Only the killed and the touched
-    faces change: a touched face left with no alive coface (the free face of
-    the pair among them) stops being free, and one left with one starts;
-    free itself is not changed."""
-    xs, touched = record
-    up = engine.up
-    out = free[:]
-    for x in (*xs, *(r for r in touched if not up[r])):
-        k = bisect_left(out, x)
-        if k < len(out) and out[k] == x:
-            del out[k]
-    for r in touched:
-        if up[r] == 1:
-            insort(out, r)
-    return out
+def _coface_mask(engine, r):
+    """Face r's cofaces as an int bitmask, one bit per face index; 0 for a
+    protected face, which so never has exactly one alive coface."""
+    s = engine.sup[r]
+    return sum(map((1).__lshift__, s)) if engine.up0[r] == len(s) else 0
+
+
+def _child_free(engine, masks, free, child, i, t):
+    """The free mask of `child`, the alive mask after the move (i, t) out of
+    a node whose free mask was `free`.  Only the faces of t and i lose a
+    coface, all still alive (the alive set is closed downwards), so only
+    they are recounted; masks[r] is r's _coface_mask, or None until read."""
+    free &= child
+    for r in (*engine.sub[t], *engine.sub[i]):
+        m = masks[r]
+        if m is None:
+            m = masks[r] = _coface_mask(engine, r)
+        m &= child
+        if not m:
+            free &= ~(1 << r)
+        elif not m & (m - 1):
+            free |= 1 << r
+    return free
 
 
 def _dfs(engine, max_nodes):
     """Exhaustive search over collapse orders: (index pairs or None, nodes),
     where nodes past max_nodes means the budget ran out first.
 
-    Depth first with an explicit stack of (alive bitmask, free faces,
-    remaining moves, undo record of the move in).  A child's free faces
-    come from its parent's by _free_after, not from a scan of every face.
-    A state joins `seen` once every move out of it has failed, and a move
-    into a seen state is never applied.
+    Depth first with an explicit stack of (alive mask, free mask, free
+    faces not yet tried).  A node's next move is its least untried free
+    face i, paired with the one alive face t among i's cofaces; a child's
+    free mask comes from _child_free, which reads the coface mask of every
+    face that turns free.  A state joins `seen` once every move out of it
+    has failed, and a move into a seen state is never applied.
     """
     goal = engine.goal_size
     if engine.n_alive == goal:
         return [], 0
-    alive, sup = engine.alive, engine.sup
+    masks = [None] * len(engine.faces)
+    for i in engine.cand:  # reset() listed the free faces
+        masks[i] = _coface_mask(engine, i)
+    last = engine.n_alive - goal - 2  # twice the depth of a last move
+    key = sum(map((1).__lshift__, compress(count(), engine.alive)))
+    free = sum(map((1).__lshift__, engine.cand))
     pairs, seen, nodes = [], set(), 1
-    key = sum(1 << i for i, a in enumerate(alive) if a)
-    free = engine.cand  # reset() listed the free faces
-    stack = [(key, free, iter(free), None)]
+    stack = [(key, free, free)]
     while stack and nodes <= max_nodes:
-        key, free, moves, entered = stack[-1]
-        for i in moves:
-            for t in sup[i]:
-                if alive[t]:
-                    break
-            if engine.n_alive - 2 == goal:
+        key, free, todo = stack.pop()
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            tbit = masks[i] & key
+            t = tbit.bit_length() - 1
+            if 2 * len(stack) == last:
                 pairs.append((i, t))
                 return pairs, nodes
-            child = key ^ (1 << i | 1 << t)  # both bits are set
+            child = key ^ low ^ tbit
             if child in seen:
                 continue
             nodes += 1
-            record = engine.kill(t, i)
             pairs.append((i, t))
-            free = _free_after(engine, free, record)
-            stack.append((child, free, iter(free), record))
+            stack.append((key, free, todo))
+            free = _child_free(engine, masks, free, child, i, t)
+            stack.append((child, free, free))
             break
         else:
             seen.add(key)
-            stack.pop()
-            if entered is not None:
-                engine.undo(entered)
+            if stack:
                 pairs.pop()
     return None, nodes
 
@@ -518,7 +515,7 @@ def discrete_morse_vector(complex, attempts=DEFAULT_ATTEMPTS, seed=0):
             size = len(engine.faces[top])
             same = [x for x in range(starts[size - 1], top + 1)
                     if engine.alive[x]]
-            _, touched = engine.kill(same[rng.randrange(len(same))])
+            touched = engine.kill(same[rng.randrange(len(same))])
             engine.cand.extend(r for r in touched if engine.up[r] == 1)
             critical[size - 1] += 1
             _collapse(engine, rng, 0)

@@ -38,7 +38,9 @@ _split_strict refuses an empty field, so a line it passes is fields joined
 by single spaces; a collapse line then needs three of them, the faces
 split at commas; and _int_fields refuses a field int() cannot read (its
 first loop) or that is not an _INT (its second).  The patterns accept
-exactly such lines of _INT fields, and "collapse F F".  One match covers
+exactly such lines of _INT fields, and "collapse F F".  So a collapse line
+before the claim that reaches the diagnosis fails one of its checks, and
+only the pattern's reading appends a pair.  One match covers
 one line, so its backtracking memory ends with the line: reading the
 10368 facet lines of sd^4 of the octahedron peaks under 4 MB.
 
@@ -115,16 +117,26 @@ def _split_strict(line, line_no):
     return parts
 
 
+def _echo(field):
+    """A refused field as a message shows it: whole up to 20 characters,
+    else its first 20 and its length."""
+    if len(field) <= 20:
+        return repr(field)
+    return "%r (%d characters)" % (field[:20] + "\u2026", len(field))
+
+
 def _int_fields(parts, line_no):
     out = []
     for p in parts:
         try:
             out.append(int(p))
         except ValueError:
-            raise ScxFormatError("expected an integer, got %r" % p, line_no)
+            raise ScxFormatError("expected an integer, got %s" % _echo(p),
+                                 line_no)
     for p in parts:
         if not _INT_FIELD.fullmatch(p):
-            raise ScxFormatError("non-canonical integer %r" % p, line_no)
+            raise ScxFormatError("non-canonical integer %s" % _echo(p),
+                                 line_no)
     return out
 
 
@@ -290,9 +302,9 @@ def certificate_from_text(text, complex):
                 raise ScxFormatError("collapse after claim", line_no)
             if len(parts) != 3:
                 raise ScxFormatError("collapse needs two faces", line_no)
-            free, coface = (_face(tuple(_int_fields(face.split(","), line_no)),
-                                  line_no) for face in parts[1:])
-            pairs.append(CollapsePair(free, coface))
+            # _COLLAPSE_LINE read every line that passes this (docstring)
+            for face in parts[1:]:
+                _int_fields(face.split(","), line_no)
         elif parts[0] == "claim":
             if claim is not None:
                 raise ScxFormatError("duplicate claim", line_no)

@@ -61,7 +61,9 @@ def _ranker(facets):
         labels = range(len(labels)) if ident else sorted(labels, key=_vkey)
     except (TypeError, InvalidComplexError):
         # an unhashable or unsupported label: face_tuple raises on the first
-        # facet holding one, or on an earlier repeated vertex, as before
+        # facet holding one, or on an earlier repeated vertex, as before;
+        # one it sorts but set() cannot hash (an int subclass without a
+        # hash) is refused as unhashable
         for F in facets:
             face_tuple(F)
         raise

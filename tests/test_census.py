@@ -152,17 +152,33 @@ def flip_sphere_types(n):
 
 
 def raw_disk_types(t):
-    """All t-triangle disk types by filtering every triangle set on t+2 labels."""
-    labels = range(t + 2)
+    """All t-triangle disk types among the triangle sets on t+2 labels.
+
+    Every set is grown from the triangle (0, 1, 2), one triangle at a time
+    across an edge of the set, never putting an edge in a third triangle;
+    each grown set then goes through the Euler and surface filters, and
+    flip_canon names the type of each disk.
+    That reaches every disk type: relabel a disk to contain (0, 1, 2); its
+    dual graph is connected, so removing a leaf of a spanning tree rooted
+    at (0, 1, 2) leaves a smaller such set, and no subset of a disk puts an
+    edge in three triangles.
+    """
+    triangles = list(itertools.combinations(range(t + 2), 3))
+    level = {frozenset([(0, 1, 2)])}
+    for _ in range(t - 1):
+        grown = set()
+        for tris in level:
+            edge_count = Counter(e for f in tris
+                                 for e in itertools.combinations(f, 2))
+            for f in triangles:
+                counts = [edge_count[e] for e in itertools.combinations(f, 2)]
+                if f not in tris and any(counts) and max(counts) < 2:
+                    grown.add(tris | {f})
+        level = grown
     found = {}
-    for tris in itertools.combinations(itertools.combinations(labels, 3), t):
-        edge_count = Counter()
-        for f in tris:
-            for e in itertools.combinations(f, 2):
-                edge_count[e] += 1
-        if any(c > 2 for c in edge_count.values()):
-            continue
-        chi_faces = len({v for f in tris for v in f}) - len(edge_count) + t
+    for tris in map(sorted, level):
+        edges = {e for f in tris for e in itertools.combinations(f, 2)}
+        chi_faces = len({v for f in tris for v in f}) - len(edges) + t
         if chi_faces != 1:
             continue
         c = SimplicialComplex(tris)

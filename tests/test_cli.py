@@ -335,16 +335,18 @@ def test_a_field_too_long_for_int_is_a_format_error(tmp_path, capsys):
     write_complex(DISK2, str(tmp_path / "disk.scx"))
     (tmp_path / "long.scx").write_text(
         "scx 1\ndim 2\nvertices 4\nfacets 2\n0 1 2\n1 2 %s\n" % long)
+    # the message shows the field's first 20 characters and its length
+    shown = "'%s\u2026' (5000 characters)" % long[:20]
     assert run(capsys, "validate", str(tmp_path / "long.scx")) == (
-        3, "", "format error: line 6: expected an integer, got %r\n" % long)
+        3, "", "format error: line 6: expected an integer, got %s\n" % shown)
     for cert, line_no in (("remove 0 1 2\ncollapse %s 1,2\n" % long, 2),
                           ("collapse 1,2 1,2,%s\n" % long, 1),
                           ("remove 0 1 %s\n" % long, 1)):
         (tmp_path / "long.cert").write_text(cert + "claim collapsible\n")
         assert run(capsys, "verify-cert", str(tmp_path / "disk.scx"),
                    str(tmp_path / "long.cert")) == (
-            3, "", "format error: line %d: expected an integer, got %r\n"
-            % (line_no, long))
+            3, "", "format error: line %d: expected an integer, got %s\n"
+            % (line_no, shown))
 
 
 def test_bounds_on_negative_input(capsys):

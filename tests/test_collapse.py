@@ -1,12 +1,16 @@
 """Collapse search, strategies, certificates, and their independent replay."""
 
+import bisect
 import dataclasses
 import hashlib
 import itertools
+import random
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx import (InvalidComplexError, SimplicialComplex, certificate_to_text,
                  full_simplex, octahedron, polygon_triangulations,
@@ -358,19 +362,24 @@ def test_exhaustive_search_scales_linearly():
 
 
 def test_the_free_list_of_every_dfs_node_is_the_scanned_one(monkeypatch):
-    """Each child's free list, edited from its parent's, equals a scan of
+    """Each child's free mask, derived from its parent's, equals a scan of
     every face, at every node of every exhaustive search on the corpus of
-    the frozen outputs, at a small and the default budget."""
-    derive = collapse._free_after
+    the frozen outputs, at a small and the default budget: a face is free
+    when it is alive and its engine count, the alive cofaces plus 2 on a
+    protected face, is 1."""
+    derive = collapse._child_free
     checked = []
 
-    def checked_free_after(engine, free, record):
-        out = derive(engine, free, record)
-        assert out == engine.list_free(), record
-        checked.append(len(out))
+    def checked_child_free(engine, masks, free, child, i, t):
+        out = derive(engine, masks, free, child, i, t)
+        scan = sum(1 << r for r, up0 in enumerate(engine.up0)
+                   if child >> r & 1 and up0 - len(engine.sup[r]) + sum(
+                       child >> s & 1 for s in engine.sup[r]) == 1)
+        assert out == scan, (i, t)
+        checked.append(out)
         return out
 
-    monkeypatch.setattr(collapse, "_free_after", checked_free_after)
+    monkeypatch.setattr(collapse, "_child_free", checked_child_free)
     corpus = [octahedron(), simplex_boundary(3), full_simplex(3),
               sd(octahedron()).complex.normalize(),
               sd_k(full_simplex(2), 2).complex.normalize(),
@@ -380,6 +389,168 @@ def test_the_free_list_of_every_dfs_node_is_the_scanned_one(monkeypatch):
             for budget in SEARCH_BUDGETS.values():
                 call(C, strategy="exhaustive", **budget)
     assert len(checked) > 4000
+
+
+def reference_undo(engine, record):
+    xs, touched = record
+    for r in touched:
+        engine.up[r] += 1
+    for x in xs:
+        engine.alive[x] = 1
+    engine.n_alive += len(xs)
+
+
+def reference_free_after(engine, free, record):
+    """The free faces after the move `record`, edited from the sorted list
+    `free` of the state before it."""
+    xs, touched = record
+    up = engine.up
+    out = free[:]
+    for x in (*xs, *(r for r in touched if not up[r])):
+        k = bisect.bisect_left(out, x)
+        if k < len(out) and out[k] == x:
+            del out[k]
+    for r in touched:
+        if up[r] == 1:
+            bisect.insort(out, r)
+    return out
+
+
+def reference_dfs(engine, max_nodes):
+    """The exhaustive search on free-face lists: it kills each move's pair in
+    the engine, edits the parent's sorted free list and undoes the move when
+    it backtracks.  Same contract as collapse._dfs."""
+    goal = engine.goal_size
+    if engine.n_alive == goal:
+        return [], 0
+    alive, sup = engine.alive, engine.sup
+    pairs, seen, nodes = [], set(), 1
+    key = sum(1 << i for i, a in enumerate(alive) if a)
+    free = engine.cand
+    stack = [(key, free, iter(free), None)]
+    while stack and nodes <= max_nodes:
+        key, free, moves, entered = stack[-1]
+        for i in moves:
+            t = next(t for t in sup[i] if alive[t])
+            if engine.n_alive - 2 == goal:
+                pairs.append((i, t))
+                return pairs, nodes
+            child = key ^ (1 << i | 1 << t)
+            if child in seen:
+                continue
+            nodes += 1
+            record = (t, i), engine.kill(t) + engine.kill(i)
+            pairs.append((i, t))
+            free = reference_free_after(engine, free, record)
+            stack.append((child, free, iter(free), record))
+            break
+        else:
+            seen.add(key)
+            stack.pop()
+            if entered is not None:
+                reference_undo(engine, entered)
+                pairs.pop()
+    return None, nodes
+
+
+def engine_state(engine):
+    return engine.n_alive, bytes(engine.alive), engine.up[:], engine.cand[:]
+
+
+BITMASK_DFS = collapse._dfs  # the tests below patch the module's binding
+
+
+def same_as_the_reference(engine, max_nodes):
+    """The bitmask search's (pairs, nodes), checked against the reference
+    from the same start state, which the bitmask search leaves untouched."""
+    start = engine_state(engine)
+    got = BITMASK_DFS(engine, max_nodes)
+    assert engine_state(engine) == start
+    assert reference_dfs(engine, max_nodes) == got
+    return got
+
+
+def test_the_bitmask_search_is_the_list_search_on_the_frozen_corpus(
+        monkeypatch):
+    searched = []
+
+    def checked(engine, max_nodes):
+        searched.append(max_nodes)
+        return same_as_the_reference(engine, max_nodes)
+
+    monkeypatch.setattr(collapse, "_dfs", checked)
+    for C in [octahedron(), simplex_boundary(3), full_simplex(3),
+              sd(octahedron()).complex.normalize(),
+              sd_k(full_simplex(2), 2).complex.normalize(),
+              dunce_hat()] + hexagon_triangulations():
+        for call in SEARCH_CALLS.values():
+            for budget in SEARCH_BUDGETS.values():
+                call(C, strategy="exhaustive", **budget)
+    assert len(searched) > 200
+    assert set(searched) == {40, collapse.DEFAULT_MAX_NODES}
+
+
+def test_the_bitmask_search_is_the_list_search_on_polygon_disks(monkeypatch):
+    """Every 10-gon triangulation's exhaustive endo search and every 8-gon
+    refutation onto an ear's boundary plus the vertex opposite the ear's
+    tip, one seeded vertex relabelling per disk: the 1562 searches of the
+    small-search benchmark workload at its seed 7, with its node count."""
+    monkeypatch.setattr(collapse, "_dfs", same_as_the_reference)
+    rng = random.Random(7)
+
+    def shuffled(tris, n):
+        images = list(range(n))
+        rng.shuffle(images)
+        return sorted(tuple(sorted(images[v] for v in T)) for T in tris)
+
+    nodes = 0
+    for tris in polygon_triangulations(10):
+        res = is_endo_collapsible(SimplicialComplex(shuffled(tris, 10)),
+                                  strategy="exhaustive")
+        assert res.verdict == "yes"
+        nodes += res.nodes
+    refuted = 0
+    for tris in polygon_triangulations(8):
+        # the first ear in triangle order, as small-search picks it
+        a = next(a for T in sorted(tris) for a in range(8)
+                 if set(T) == {a, (a + 1) % 8, (a + 2) % 8})
+        b, c = (a + 1) % 8, (a + 2) % 8
+        both = shuffled(list(tris) + [(a, b), (b, c), (a, c), ((b + 4) % 8,)],
+                        8)
+        target = [f for f in both if len(f) < 3]
+        res = collapses_to(SimplicialComplex([f for f in both if len(f) == 3]),
+                           SimplicialComplex(target), strategy="exhaustive")
+        assert res.verdict == "no"
+        nodes += res.nodes
+        refuted += 1
+    assert refuted == 132 and nodes == 73016
+
+
+@st.composite
+def engine_starts(draw):
+    """A random complex of dimension at most 2 on 6 vertices, as _levels of
+    sorted tuples; a goal (None for one vertex, else the closure of some of
+    its faces); a removed top face outside the goal, or None; a budget."""
+    pool = [f for k in (1, 2, 3) for f in itertools.combinations(range(6), k)]
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    levels = collapse._levels(facets)
+    faces = sorted(f for level in levels for f in level)
+    goal = draw(st.none() | st.lists(st.sampled_from(faces), max_size=3))
+    goal = None if goal is None else collapse._levels(goal)
+    protected = set() if goal is None else set().union(*goal)
+    top = sorted(levels[-1] - protected)
+    removed = draw(st.none() | st.sampled_from(top)) if top else None
+    budget = st.integers(0, 60) | st.just(collapse.DEFAULT_MAX_NODES)
+    return levels, goal, removed, draw(budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(engine_starts())
+def test_the_bitmask_search_is_the_list_search_on_random_complexes(start):
+    levels, goal, removed, max_nodes = start
+    engine = collapse._Engine(levels, goal)
+    engine.reset(removed)
+    same_as_the_reference(engine, max_nodes)
 
 
 def test_exhaustive_search_leaves_the_recursion_limit_alone(monkeypatch):

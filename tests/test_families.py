@@ -187,6 +187,23 @@ def test_recover_strip_permutation_rejects_near_misses():
             recover_strip_permutation(M)
 
 
+def test_recover_strip_permutation_rejects_a_ring_off_two_runs_of_three():
+    """A tube's ring meets the strip at two runs of three strip vertices.
+    Here the ring 8, 9, 10 of strip_sphere(1) meets the strip at 0, 1, 3,
+    4, 5, 6 instead, read from either end of the strip.  Three triangles
+    on the apex 7 and inner strip edges add no edge and pad the facets to
+    14 + 8."""
+    ring = [(8, 9, 10), (8, 9, 0), (8, 9, 1), (9, 10, 3), (9, 10, 4),
+            (8, 10, 5), (8, 10, 6)]
+    pad = [(i, i + 1, 7) for i in (1, 2, 3)]
+    M = SimplicialComplex(list(strip_sphere(1).facets) + ring + pad)
+    assert len(M.facets) == 22 and len(M.faces(1)) == len(
+        strip_sphere(1).faces(1)) + 15
+    with pytest.raises(InvalidComplexError,
+                       match="complex is not a strip surface"):
+        recover_strip_permutation(M)
+
+
 def test_grid_disk_shape():
     for g in (1, 2):
         d = grid_disk(g)

@@ -505,6 +505,14 @@ def test_a_collapse_line_after_the_claim_is_refused_in_a_block(sd3_cert_text):
 HUGE = "1" * 4301  # one digit past the longest int str() spells by default
 
 
+def shown(field):
+    """A field as a refusal shows it: past 20 characters, cut to 20 with
+    its length given."""
+    if len(field) > 20:
+        return "'%s\u2026' (%d characters)" % (field[:20], len(field))
+    return repr(field)
+
+
 def field_fault(fields):
     """The refusal of the first bad field, or None: each field must be
     read by int() and be spelled as str() spells what int() read."""
@@ -512,10 +520,10 @@ def field_fault(fields):
         try:
             int(p)
         except ValueError:
-            return "expected an integer, got %r" % p
+            return "expected an integer, got %s" % shown(p)
     for p in fields:
         if str(int(p)) != p:
-            return "non-canonical integer %r" % p
+            return "non-canonical integer %s" % shown(p)
     return None
 
 

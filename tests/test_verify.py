@@ -216,6 +216,21 @@ def test_faces_outside_the_ranked_labels_read_as_face_tuple_reads_them():
         (False, "certificate is for a different complex")
 
 
+def test_an_unhashable_label_face_tuple_accepts_is_refused_as_unhashable():
+    """An int subclass without a hash passes face_tuple, which only sorts
+    and compares labels, so replay refuses it where it collects the labels
+    into a set, as a TypeError."""
+    class Unhashable(int):
+        __hash__ = None
+
+    facets = ((Unhashable(0), Unhashable(1)),)
+    assert face_tuple(facets[0]) == facets[0]
+    cert = CollapseSequence(initial_facets=facets, removed_facet=None,
+                            pairs=(), claim="collapsible")
+    with pytest.raises(TypeError, match="unhashable type: 'Unhashable'"):
+        verify_certificate(cert)
+
+
 def mutant(data, C):
     """A certificate of C with one pair dropped, swapped with its neighbour,
     or given another face of C as its free face or coface."""
