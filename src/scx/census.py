@@ -12,15 +12,15 @@ isomorphism and lists every facet: a canonical form.  So iso compares b's
 flags, in order, against one walk from a's first facet; the first tie fixes
 the isomorphism.
 
-Both run one walk routine, _canon_walk, with two stop rules.
-canonical_label stops a walk at its first entry above the best code's, and
-iso at its first entry unequal to a's.  A flag ties in full under one rule
-exactly when it does under the other, so iso's certificate is the first
-full tie either way.  Most flags never start a walk: a flag's second entry
-depends on its start facet and vertex order alone (see _flags), so
-canonical_label skips a flag whose second entry is above the best code's,
-and iso one whose second entry differs from a's.  Either walk would have
-stopped right there.
+Both run one walk routine, _canon_walk, which stops a walk at its first
+entry above the best code's (canonical_label) or unequal to a's (iso), and
+both skip unwalked a flag whose second entry, which its start facet and
+vertex order fix (_flags), would already stop it.
+
+Any other complex is cut into vertex-connected pieces, each with a form
+from the flag walk or from individualisation-refinement, which skips a
+vertex whose swap with one tried maps facets to facets; iso compares the
+forms of the whole (_canonical_form, _individualise).
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
@@ -33,11 +33,12 @@ proves that every class is still reached.
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
-from .complexes import SimplicialComplex, face_tuple, _fkey
+from .complexes import SimplicialComplex, face_tuple
 from .collapse import _overall_verdict, _search_options, is_endo_collapsible
 from .errors import (DEFAULT_MAX_NODES, InvalidComplexError, check_budget,
                      spend)
@@ -161,8 +162,9 @@ def iso(a, b, max_nodes=DEFAULT_MAX_NODES):
     unequal to a's, which is the same full tie as a walk that stops only
     above a's code.  A flag whose second entry differs from a's is skipped
     unwalked, since its walk would stop there.  Every flag counts one
-    node, skipped or not.  Raises BudgetExceededError past max_nodes seeds
-    or search nodes.
+    node, skipped or not.  Any other pair is isomorphic when both have the
+    same _canonical_form, and every leaf of either search counts one node.
+    Raises BudgetExceededError past max_nodes seeds or search nodes.
     """
     check_budget("max_nodes", max_nodes)
     if _screens(a) != _screens(b):
@@ -190,56 +192,12 @@ def iso(a, b, max_nodes=DEFAULT_MAX_NODES):
                 return _certificate(a, {va[i]: at[l] for i, l in label_a.items()})
         return None
 
-    # general backtracking over signature-compatible vertex images
-    bfacets = set(b.facets)
-    sig_a = _vertex_signature(a)
-    sig_b = _vertex_signature(b)
-    pool = {}
-    for w, s in sig_b.items():
-        pool.setdefault(s, []).append(w)
-    order = sorted(a.vertices, key=lambda v: (len(pool.get(sig_a[v], ())), _fkey((v,))))
-    by_size = {}
-    for F in bfacets:
-        by_size.setdefault(len(F), []).append(set(F))
-    assignment = {}
-    used = set()
-
-    def feasible(v):
-        for F in a.facets_containing((v,)):
-            img = [assignment[x] for x in F if x in assignment]
-            if len(img) == len(F):
-                if face_tuple(img) not in bfacets:
-                    return False
-            else:
-                s = set(img)
-                if not any(s <= cand for cand in by_size.get(len(F), ())):
-                    return False
-        return True
-
-    def images(v):
-        spend(next(nodes), max_nodes, over)
-        return iter(pool.get(sig_a[v], ()))
-
-    # depth-first over order, one iterator of candidate images per level
-    stack = [images(order[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        if v in assignment:  # back from a level that failed
-            used.discard(assignment.pop(v))
-        for w in stack[-1]:
-            if w not in used:
-                assignment[v] = w
-                if feasible(v):
-                    used.add(w)
-                    break
-        else:
-            assignment.pop(v, None)
-            stack.pop()
-            continue
-        if len(stack) < len(order):
-            stack.append(images(order[len(stack)]))
-        elif {face_tuple(assignment[u] for u in F) for F in a.facets} == bfacets:
-            return _certificate(a, assignment)
+    if not (_connected_pm(a) or _connected_pm(b)):  # else one is, one not
+        (form, label_a), (form_b, label_b) = (
+            _canonical_form(c, max_nodes, over) for c in (a, b))
+        if form == form_b:
+            at = {l: w for w, l in label_b.items()}
+            return _certificate(a, {v: at[l] for v, l in label_a.items()})
     return None
 
 
@@ -324,9 +282,9 @@ def canonical_label(complex, budget=DEFAULT_MAX_NODES):
     pseudomanifolds keep the smallest walk code over all flags, the first
     one on a tie.  Each walk stops at its first entry above the best code's,
     and a flag whose second entry is above the best code's is skipped
-    unwalked, since its walk would stop there.  Everything else falls back
-    to color refinement plus bounded within-cell search.  Raises
-    BudgetExceededError when flags or relabelings exceed budget.
+    unwalked, since its walk would stop there.  Any other complex takes
+    _canonical_form.  Raises BudgetExceededError when flags exceed budget,
+    or when the leaves (relabelings) of that search do.
     """
     check_budget("budget", budget)
     if not complex.facets:
@@ -350,50 +308,94 @@ def canonical_label(complex, budget=DEFAULT_MAX_NODES):
         return (SimplicialComplex._canonical(sorted(best)),
                 {v: best_label[i] for i, v in enumerate(vertices)})
 
-    # color refinement on the "shares a face" graph
-    sig = _vertex_signature(complex)
-    color = {v: sig[v] for v in complex.vertices}
-    nbrs = {v: set() for v in complex.vertices}
-    for F in complex.facets:
-        for v in F:
-            nbrs[v].update(x for x in F if x != v)
-    for _ in range(len(complex.vertices)):
-        new = {v: (color[v], tuple(sorted(color[u] for u in nbrs[v])))
-               for v in complex.vertices}
-        ranks = {c: i for i, c in enumerate(sorted(set(new.values())))}
-        new = {v: ranks[new[v]] for v in new}
-        if len(set(new.values())) == len(set(color.values())):
-            color = new
-            break
-        color = new
-    cells = {}
-    for v in complex.vertices:
-        cells.setdefault(color[v], []).append(v)
-    ordered_cells = [sorted(cells[c], key=lambda v: _fkey((v,)))
-                     for c in sorted(cells)]
-    total = 1
-    for cell in ordered_cells:
-        total *= math.factorial(len(cell))
-        spend(total, budget, "canonical labeling needs %(requested)d "
-              "relabelings (budget %(budget)d)")
-    offsets = []
-    base = 0
-    for cell in ordered_cells:
-        offsets.append(base)
-        base += len(cell)
-    best = None
-    best_label = None
-    for perms in itertools.product(*(itertools.permutations(cell)
-                                     for cell in ordered_cells)):
-        label = {}
-        for cell_perm, off in zip(perms, offsets):
-            for i, v in enumerate(cell_perm):
-                label[v] = off + i
-        shape = tuple(sorted(tuple(sorted(label[v] for v in F))
-                             for F in complex.facets))
-        if best is None or shape < best:
-            best, best_label = shape, label
-    return SimplicialComplex(best), best_label
+    # canonical: each piece's form is, and later pieces take larger labels
+    form, label = _canonical_form(complex, budget, "canonical labeling "
+                                  "search exceeded %(budget)d relabelings")
+    return SimplicialComplex._canonical(form), label
+
+
+def _canonical_form(complex, budget, over):
+    """Sorted canonical int facets and label map: the pieces' forms, sorted
+    by (vertex count, form) and offset; each leaf spends a budget tick."""
+    leaves = itertools.count(1)
+    tick = lambda: spend(next(leaves), budget, over)
+    forms = [(p.n_vertices,) + (canonical_label(p, budget) if _connected_pm(p)
+                                else _individualise(p, tick))
+             for p in complex.connected_components()]
+    form, labels, base = [], {}, 0
+    for n, canon, label in sorted(forms, key=lambda t: (t[0], t[1].facets)):
+        form.extend(tuple(x + base for x in F) for F in canon.facets)
+        labels.update((v, x + base) for v, x in label.items())
+        base += n
+    return form, labels
+
+
+def _individualise(piece, tick):
+    """(canonical complex, label map) of a connected piece by
+    individualisation-refinement (McKay, Piperno, Practical graph
+    isomorphism II, 2014).  A node is an ordered partition of the vertex
+    ranks, cells named by first position; the root refines the
+    _vertex_signature cells in their order.  Refinement splits each cell
+    that a queued splitter cell hits by its members' neighbour counts in
+    the splitter (neighbours share a facet), parts by increasing count,
+    and queues every part.  A node individualises each v of its first
+    cell of two or more: v goes first in a cell of its own, the only
+    splitter.  A leaf, all singletons, labels vertices by position; the
+    least sorted relabelled facet list is the form.  It is canonical:
+    refinement, target cell and leaf form read no label, so a relabelling
+    maps the search tree onto the relabelled piece's, leaf forms kept.  A
+    node skips v if the transposition (u v) maps facets to facets for a
+    tried u: an automorphism fixing the node's partition (u, v share a
+    cell), it carries u's subtree onto v's, leaf forms kept.
+    """
+    labels, _, facets = piece._ranked()
+    sig, stars = _vertex_signature(piece), piece._stars()
+    star = [[facets[i] for i in stars[v]] for v in labels]
+    nbrs = [set(chain.from_iterable(s)) - {v} for v, s in enumerate(star)]
+    link = lambda u, v: {tuple(x for x in F if x != u) for F in star[u]
+                         if v not in F}
+
+    def refine(cell, cells, queue):
+        for w in queue:  # the queue grows while it is read
+            count = Counter(chain.from_iterable(nbrs[x] for x in cells[w]))
+            for s in sorted({cell[y] for y in count}):
+                parts = {}
+                for y in cells[s]:
+                    parts.setdefault(count[y], []).append(y)
+                if len(parts) > 1:
+                    p = s
+                    for k in sorted(parts):
+                        cells[p] = parts[k]
+                        for y in parts[k]:
+                            cell[y] = p
+                        queue.append(p)
+                        p += len(parts[k])
+        return cell, cells
+
+    sigs = sorted(sig.values())
+    cell, cells = [bisect_left(sigs, sig[v]) for v in labels], {}
+    for v, p in enumerate(cell):
+        cells.setdefault(p, []).append(v)
+    best, stack = None, [refine(cell, cells, sorted(cells))]
+    while stack:
+        cell, cells = stack.pop()
+        if len(cells) == len(cell):  # a leaf: position labels each vertex
+            tick()
+            form = sorted(tuple(sorted(cell[x] for x in F)) for F in facets)
+            if best is None or form < best[0]:
+                best = form, cell
+            continue
+        s, tried = min(p for p, m in cells.items() if len(m) > 1), []
+        for v in sorted(cells[s]):
+            if not any(link(u, v) == link(v, u) for u in tried):
+                tried.append(v)
+                c, z = cell[:], dict(cells)
+                z[s], z[s + 1] = [v], [x for x in cells[s] if x != v]
+                for x in z[s + 1]:
+                    c[x] = s + 1
+                stack.append(refine(c, z, [s]))
+    # the form relabels the piece's facets: distinct, unnested, and sorted
+    return SimplicialComplex._canonical(best[0]), dict(zip(labels, best[1]))
 
 
 # -- censuses ----------------------------------------------------------------

@@ -121,7 +121,18 @@ class SimplicialComplex:
                  "_index")
 
     def __init__(self, facets=()):
-        cleaned = {face_tuple(f) for f in facets}
+        cleaned = set()
+        for f in map(face_tuple, facets):
+            try:
+                cleaned.add(f)
+            except TypeError:  # a label face_tuple sorts but cannot hash
+                for v in f:
+                    try:
+                        hash(v)
+                    except TypeError:
+                        raise InvalidComplexError(
+                            "unhashable vertex label %r" % (v,)) from None
+                raise
         if any(len(f) == 0 for f in cleaned):
             raise InvalidComplexError("the empty face cannot be listed as a facet")
         if len({len(f) for f in cleaned}) > 1:
@@ -141,8 +152,9 @@ class SimplicialComplex:
         in another, and the sequence is sorted by _fkey.  Only callers that
         prove all four may use this; input from outside the program goes
         through __init__.  The callers are the .scx parser, star,
-        connected_components, normalize, sd, canonical_label and
-        enumerate_disks, each with its proof where it calls.
+        connected_components, normalize, sd, canonical_label,
+        census._individualise and enumerate_disks, each with its proof
+        where it calls.
         """
         self = cls.__new__(cls)
         self._store(tuple(facets))

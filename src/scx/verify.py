@@ -63,9 +63,15 @@ def _ranker(facets):
         # an unhashable or unsupported label: face_tuple raises on the first
         # facet holding one, or on an earlier repeated vertex, as before;
         # one it sorts but set() cannot hash (an int subclass without a
-        # hash) is refused as unhashable
+        # hash) is refused by name, as every other bad label is
         for F in facets:
             face_tuple(F)
+        for v in chain.from_iterable(facets):
+            try:
+                hash(v)
+            except TypeError:
+                raise InvalidComplexError(
+                    "unhashable vertex label %r" % (v,)) from None
         raise
     rank = dict(zip(labels, range(len(labels))))
 

@@ -68,6 +68,17 @@ def labelled_complexes(draw):
         return SimplicialComplex([tuple(names[i] for i in f) for f in raw])
 
 
+def petersen():
+    """The Petersen graph as a 1-complex: outer 5-cycle 0..4, inner
+    pentagram 5..9, spokes i -- i+5.  Every vertex lies in three edges, so
+    it is no pseudomanifold, and no two vertices are twins (no swap of two
+    vertices maps edges to edges), so a canonical-form search on it meets
+    one leaf per automorphism, 120 in all."""
+    return SimplicialComplex([(i, (i + 1) % 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                             + [(i, i + 5) for i in range(5)])
+
+
 def glued_subdivided_triangles(n):
     """n copies of sd(triangle), built by hand, sharing only their barycentre.
 

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -33,7 +34,7 @@ from scx.census import (
 )
 from scx.subdivision import sd_k
 
-from conftest import random_complex, random_pure_complex
+from conftest import labels, petersen, random_complex, random_pure_complex
 
 
 # -- independent oracles -----------------------------------------------------
@@ -328,9 +329,10 @@ def test_canonical_label_is_iso_invariant():
 
 
 def test_canonical_label_budget():
-    scatter = SimplicialComplex([(i,) for i in range(12)])
-    with pytest.raises(BudgetExceededError):
-        canonical_label(scatter, budget=1000)
+    # no twins to skip: the search meets 120 leaves, one per automorphism
+    with pytest.raises(BudgetExceededError) as err:
+        canonical_label(petersen(), budget=100)
+    assert (err.value.requested, err.value.budget) == (101, 100)
 
 
 # connected pseudomanifolds: every disk with at most 6 triangles and every
@@ -412,6 +414,84 @@ def test_iso_general_search_exhausts_to_none():
         sorted(len(b.facets_containing((v,))) for v in b.vertices)
     assert brute_iso(a.facets, b.facets) is None
     assert iso(a, b) is None
+
+
+def disjoint(*parts):
+    """The disjoint union of parts, each renumbered after the last."""
+    facets, base = [], 0
+    for C in parts:
+        C = C.normalize()
+        facets += [tuple(v + base for v in F) for F in C.facets]
+        base += C.n_vertices
+    return SimplicialComplex(facets)
+
+
+def no_pseudomanifolds():
+    """name -> complex: none is a connected pseudomanifold, and each has
+    many automorphisms, so a search that permutes whole colour cells, or
+    one that backtracks over vertex images, blows up on several."""
+    OCT = octahedron()
+    sd_oct = sd_k(OCT, 1).complex
+    return {
+        "two octahedra": disjoint(OCT, OCT),
+        "sd(oct) twice": disjoint(sd_oct, sd_oct),
+        "star K1,10": SimplicialComplex([(0, i) for i in range(1, 11)]),
+        "two tetrahedron boundaries": disjoint(simplex_boundary(3),
+                                               simplex_boundary(3)),
+        "sd of three triangles on an edge": sd_k(SimplicialComplex(
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), 1).complex,
+        "two octahedra at a vertex": SimplicialComplex(
+            list(OCT.facets) + [tuple(v + 5 if v else 0 for v in F)
+                                for F in OCT.facets]),
+        "three edges": SimplicialComplex([(0, 1), (2, 3), (4, 5)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(no_pseudomanifolds()))
+def test_canonical_forms_off_pseudomanifolds_are_quick(name):
+    a = no_pseudomanifolds()[name]
+    b = shuffled(a, random.Random(22))
+    timed = []
+    for call in (lambda: canonical_label(a), lambda: canonical_label(b),
+                 lambda: iso(a, b)):
+        start = time.perf_counter()
+        timed.append(call())
+        assert time.perf_counter() - start < 0.5, name
+    (ca, ma), (cb, mb), cert = timed
+    assert ca == cb and a.relabel(ma) == ca and b.relabel(mb) == cb
+    assert cert is not None and cert.check(a, b)
+
+
+@st.composite
+def scattered(draw):
+    """A complex of up to three vertex-disjoint parts of mixed dimension,
+    isolated vertices included, on int, str and tuple labels."""
+    names = draw(st.lists(labels, min_size=9, max_size=9, unique=True))
+    faces = [tuple(names[3 * part + i] for i in face)
+             for part in range(draw(st.integers(1, 3)))
+             for face in draw(st.lists(st.lists(
+                 st.integers(0, 2), min_size=1, max_size=3, unique=True),
+                 min_size=1, max_size=3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(faces)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(scattered(), scattered(), st.randoms(use_true_random=False))
+def test_canonical_forms_of_scattered_complexes(a, c, rng):
+    """Forms see through relabellings, and iso and equal forms agree with
+    the brute-force oracle, run on the complexes renumbered 0..n-1."""
+    names = rng.sample(range(100), a.n_vertices)
+    b = a.relabel(dict(zip(a.vertices, names)))
+    ca, ma = canonical_label(a)
+    assert canonical_label(b)[0] == ca and a.relabel(ma) == ca
+    for other in (b, c):
+        cert = iso(a, other)
+        want = brute_iso(a.normalize().facets, other.normalize().facets)
+        assert (cert is None) == (want is None) == (
+            canonical_label(other)[0] != ca)
+        assert cert is None or cert.check(a, other)
 
 
 def test_canonical_label_of_the_empty_complex():

@@ -30,7 +30,7 @@ from scx.reconstruct import reconstruct
 from scx.scxio import write_certificate, write_complex
 from scx.subdivision import derived_neighborhood, sd, sd_k
 
-from conftest import glued_subdivided_triangles
+from conftest import glued_subdivided_triangles, petersen
 
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
 
@@ -433,8 +433,9 @@ BUDGET_CONTRACT = [
      "budget\n", ""),
     ("reconstruct", ("reconstruct", "glued.scx", "--budget", "10"), 2, "",
      "budget exceeded: reconstruct tried more than 10 seed orderings\n"),
-    ("iso", ("iso", "edge-last.scx", "edge-first.scx", "--budget", "1"), 2,
-     "", "budget exceeded: isomorphism search exceeded 1 nodes\n"),
+    ("iso", ("iso", "petersen.scx", "petersen-relabelled.scx", "--budget",
+             "1"), 2, "", "budget exceeded: isomorphism search exceeded 1 "
+     "nodes\n"),
     # the census reports a search that ran out as an "unknown" cell
     ("census", ("census", "-n", "5", "--tries", "0", "--budget", "0"), 0,
      "vertices orientable genus count endo min_facets\n"
@@ -490,9 +491,10 @@ BUDGET_CONTRACT = [
 def test_budget_contract(argv, code, out, err, tmp_path, monkeypatch, capsys):
     inputs = {"oct": octahedron(), "disk": DISK2,
               "glued": glued_subdivided_triangles(4),
-              # isomorphic, not pure, and written with different facets
-              "edge-last": SimplicialComplex([(0, 1, 2), (2, 3)]),
-              "edge-first": SimplicialComplex([(0, 1), (1, 2, 3)])}
+              # isomorphic, no pseudomanifolds, written with other facets
+              "petersen": petersen(),
+              "petersen-relabelled": petersen().relabel(
+                  {v: (v + 5) % 10 for v in range(10)})}
     for name, C in inputs.items():
         write_complex(C, str(tmp_path / (name + ".scx")))
     (tmp_path / "bad.scx").write_text("nonsense\n")
@@ -581,9 +583,10 @@ API_OVERRUN_CONTRACT = [
     ("reconstruct",
      lambda: reconstruct(glued_subdivided_triangles(4), max_nodes=10),
      "reconstruct tried more than 10 seed orderings", 11, 10),
-    # not pure: the backtracking search counts one node per vertex level
-    ("iso", lambda: iso(SimplicialComplex([(0, 1, 2), (2, 3)]),
-                        SimplicialComplex([(0, 1), (1, 2, 3)]), max_nodes=1),
+    # no pseudomanifold: each canonical-form search counts one node per
+    # leaf, and the Petersen graph's has 120
+    ("iso", lambda: iso(petersen(), petersen().relabel(
+        {v: (v + 5) % 10 for v in range(10)}), max_nodes=1),
      "isomorphism search exceeded 1 nodes", 2, 1),
     # a pseudomanifold, relabeled: the flag walk counts one node per flag
     ("iso-flags", lambda: iso(OCT, OCT.relabel({0: 0, 1: 2, 2: 1, 3: 3,
@@ -591,11 +594,10 @@ API_OVERRUN_CONTRACT = [
      "isomorphism search exceeded 0 nodes", 1, 0),
     ("canonical_label-walks", lambda: canonical_label(OCT, budget=47),
      "canonical labeling needs 48 walks (budget 47)", 48, 47),
-    # three disjoint edges: one color class of six vertices
+    # no pseudomanifold: one relabeling per leaf, 120 of them
     ("canonical_label-relabelings",
-     lambda: canonical_label(SimplicialComplex([(0, 1), (2, 3), (4, 5)]),
-                             budget=719),
-     "canonical labeling needs 720 relabelings (budget 719)", 720, 719),
+     lambda: canonical_label(petersen(), budget=10),
+     "canonical labeling search exceeded 10 relabelings", 11, 10),
     ("enumerate_disks", lambda: enumerate_disks(13),
      "disk census capped at 12 triangles", 13, 12),
     ("enumerate_surfaces", lambda: enumerate_surfaces(11),

@@ -43,6 +43,18 @@ def test_constructor_dedups_and_drops_dominated():
     assert c.facets == ((0, 1, 2),)
 
 
+def test_constructor_names_a_label_it_sorts_but_cannot_hash():
+    class Unhashable(int):
+        __hash__ = None
+
+    facet = (Unhashable(3), Unhashable(1))
+    assert face_tuple(facet) == facet[::-1]
+    # a generator of facets, read once
+    with pytest.raises(InvalidComplexError,
+                       match="^unhashable vertex label 1$"):
+        SimplicialComplex(F for F in [(0, 2), facet])
+
+
 def test_empty_inputs():
     assert SimplicialComplex().dim == -1
     assert SimplicialComplex().facets == ()

@@ -1,7 +1,8 @@
 """Stdlib lint: every name a module imports is used in that module, no
 module imports inside a function, every public name has a docstring, only
-errors.py raises a budget error, and the certificate replay imports nothing
-of the search engine.
+errors.py raises a budget error, every budget message is pinned by an
+overrun row, and the certificate replay imports nothing of the search
+engine.
 
 The project depends on no linter, so this walks the syntax trees itself.
 The package __init__ is exempt from the unused-import check: its imports
@@ -10,8 +11,11 @@ are the public re-exports.
 
 import ast
 import pathlib
+import re
 
 import scx
+
+from test_cli import API_OVERRUN_CONTRACT
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scx"
 
@@ -99,6 +103,43 @@ def test_only_errors_py_raises_a_budget_error():
     found = {p.name: budget_error_calls(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     assert {name for name, lines in found.items() if lines} == {"errors.py"}
+
+
+def budget_messages(source):
+    """The string constants of source that name a budget, "%(budget)d"."""
+    return sorted(node.value for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and "%(budget)d" in node.value)
+
+
+def message_pattern(message):
+    """A regular expression for message once formatted: each %(name)d
+    field reads as a run of digits, the rest as itself."""
+    return re.compile(r"\d+".join(map(re.escape,
+                                      re.split(r"%\(\w+\)d", message))))
+
+
+def test_the_checker_sees_budget_messages():
+    source = ('def f(n):\n    spend(n, 3, "too many (%(requested)d of "\n'
+              '          "%(budget)d) ones")\n    return "%(budget)s"\n')
+    assert budget_messages(source) == ["too many (%(requested)d of "
+                                       "%(budget)d) ones"]
+    pattern = message_pattern(budget_messages(source)[0])
+    assert pattern.fullmatch("too many (4 of 3) ones")
+    assert not pattern.fullmatch("too many (4 of 3)) ones")
+    assert not pattern.fullmatch("too many 4 of 3 ones")
+
+
+def test_every_budget_message_has_an_overrun_row():
+    """A refusal past a budget ships only with a row of
+    API_OVERRUN_CONTRACT (tests/test_cli.py) that raises it."""
+    rows = [row[2] for row in API_OVERRUN_CONTRACT]
+    found = {message for p in sorted(SRC.glob("*.py"))
+             for message in budget_messages(p.read_text())}
+    assert len(found) >= 8
+    assert sorted(m for m in found if not any(
+        message_pattern(m).fullmatch(row) for row in rows)) == []
 
 
 def package_imports(source):
