@@ -91,10 +91,7 @@ def determine_gluing(a, b, seed):
             raise InvalidComplexError(
                 "%s complex is not a pseudomanifold" % name)
     fs_a, fs_b = a.facets, b.facets
-    across_a = a._incidence()[1]
-    # per facet of b: facing vertex -> (neighbour, its vertex facing the ridge)
-    across_b = [{G[p]: (k, fs_b[k][q]) for p, k, q in row}
-                for G, row in zip(fs_b, b._incidence()[1])]
+    across_a, across_b = a._incidence()[1], b._incidence()[1]
     mapping = dict(zip(fa, ordered))
     inverse = {w: v for v, w in mapping.items()}
     start = fs_a.index(fa)
@@ -102,9 +99,12 @@ def determine_gluing(a, b, seed):
     queue = deque([start])
     while queue:
         i = queue.popleft()
-        F = fs_a[i]
+        F, G = fs_a[i], fs_b[image[i]]
+        # read only for facets of b the walk reaches, so a walk costs its
+        # overlap, not b's size: facing vertex -> (neighbour, its apex)
+        facing_b = {G[p]: (k, fs_b[k][q]) for p, k, q in across_b[image[i]]}
         for p, j, q in sorted(across_a[i]):  # the ridges of F in order
-            nb = across_b[image[i]].get(mapping[F[p]])
+            nb = facing_b.get(mapping[F[p]])
             if nb is None:
                 continue  # one-sided in b: the overlap stops here
             k, apex_b = nb

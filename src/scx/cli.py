@@ -108,7 +108,7 @@ def cmd_neighborhood(args):
 
 def cmd_collapse(args):
     C = read_complex(args.file)
-    target = _parse_faces(args.target) if args.target else None
+    target = _parse_faces(args.target) if args.target is not None else None
 
     if target is not None:
         res = collapses_to(C, target, strategy=args.strategy, seed=args.seed,
@@ -131,7 +131,8 @@ def cmd_endo(args):
                                        verdict, reason))
         print("hypotheses %s" % rep.hypotheses_met)
         return _verdict_exit(rep.conclusion)
-    facet = face_tuple(_int_list(args.facet)) if args.facet else None
+    facet = (face_tuple(_int_list(args.facet)) if args.facet is not None
+             else None)
     res = is_endo_collapsible(C, facet=facet, strategy=args.strategy,
                               seed=args.seed, seeds=args.tries,
                               max_nodes=args.budget)

@@ -15,15 +15,16 @@ Two positive constructions and one documented dead end:
   gluing; the functions exist to make that failure checkable.
 
 The kept strip triangles sit asymmetrically between the hole blocks (one
-before, two between, none after), which kills the end-for-end symmetry and
-lets recovery orient the strip.
+before, two between, none after), which kills the end-for-end symmetry: the
+punctured sphere that all genus-g strip surfaces share glues into each of
+them in one way only, and recovery reads the permutation through it.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 
-from .census import iso
+from .census import determine_gluing, iso
 from .complexes import SimplicialComplex, _vkey, face_tuple
 from .errors import InvalidComplexError, QuotientRejected
 
@@ -71,6 +72,13 @@ def _tube(ring_a, mids, ring_b):
     return tris
 
 
+def _strip_holes(g):
+    """The two blocks of g strip triangles that strip_surface punches out of
+    strip_sphere(g): one kept triangle before them, two between, none after."""
+    return ([(j, j + 1, j + 2) for j in range(1, g + 1)],
+            [(j, j + 1, j + 2) for j in range(g + 3, 2 * g + 3)])
+
+
 def strip_surface(perm):
     """Orientable genus-g surface with 14g + 8 facets from a permutation.
 
@@ -81,9 +89,8 @@ def strip_surface(perm):
     g = len(perm)
     sphere = strip_sphere(g)
     signs = sphere.orientation()
-    holes_a = [face_tuple((j, j + 1, j + 2)) for j in range(1, g + 1)]
-    holes_b = [face_tuple((g + 2 + i, g + 3 + i, g + 4 + i)) for i in range(1, g + 1)]
-    removed = set(holes_a) | set(holes_b)
+    holes_a, holes_b = _strip_holes(g)
+    removed = set(holes_a + holes_b)
     tris = [F for F in sphere.facets if F not in removed]
     for j in range(1, g + 1):
         A = holes_a[j - 1]
@@ -95,119 +102,68 @@ def strip_surface(perm):
     return SimplicialComplex(tris)
 
 
-def _walk_strip_order(start, L, nbrs, ldeg):
-    # the strip vertices induce the square of a path; recover the path order
-    first = sorted(nbrs[start] & L, key=_vkey)  # two: start is an end
-    by_deg = {ldeg[v]: v for v in first}
-    # the second and third vertices along the path have degrees 3 and 4
-    if set(by_deg) != {3, 4}:
-        return None
-    order = [start, by_deg[3], [v for v in first if v != by_deg[3]][0]]
-    used = set(order)
-    while len(order) < len(L):
-        cand = (nbrs[order[-2]] & nbrs[order[-1]] & L) - used
-        if len(cand) != 1:
-            return None
-        nxt = cand.pop()
-        order.append(nxt)
-        used.add(nxt)
-    return order
-
-
-def _mid_rings(nbrs, mids):
-    rings = []
-    seen = set()
-    for v in sorted(mids, key=_vkey):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u] & mids:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if len(comp) != 3:
-            return None
-        a, b, c = sorted(comp, key=_vkey)
-        if not (b in nbrs[a] and c in nbrs[a] and c in nbrs[b]):
-            return None
-        seen |= comp
-        rings.append((a, b, c))
-    return rings
-
-
-def _decode_apex(M, nbrs, c, g):
-    L = nbrs[c]
-    if len(L) != 2 * g + 5:
-        return None
-    mids = set(M.vertices) - L - {c}
-    if len(mids) != 3 * g:
-        return None
-    rings = _mid_rings(nbrs, mids)
-    if rings is None:
-        return None
-    ldeg = {v: len(nbrs[v] & L) for v in L}
-    ends = [v for v in sorted(L, key=_vkey) if ldeg[v] == 2]
-    if len(ends) != 2:
-        return None
-    for start in ends:
-        order = _walk_strip_order(start, L, nbrs, ldeg)
-        if order is None:
-            continue
-        pos = {v: i for i, v in enumerate(order)}
-        a_starts = {}
-        ok = True
-        for R in rings:
-            touched = set()
-            for m in R:
-                touched |= nbrs[m]
-            touched -= set(R)
-            touched -= {c}
-            if len(touched) != 6 or not touched <= L:
-                ok = False
-                break
-            ps = sorted(pos[v] for v in touched)
-            if ps[0] + 2 != ps[2] or ps[3] + 2 != ps[5] or \
-               ps[0] + 1 != ps[1] or ps[3] + 1 != ps[4]:
-                ok = False
-                break
-            a_starts[ps[0]] = ps[3]
-        if not ok:
-            continue
-        if sorted(a_starts) != list(range(1, g + 1)):
-            continue
-        if sorted(a_starts.values()) != list(range(g + 3, 2 * g + 3)):
-            continue
-        return tuple(a_starts[j] - (g + 2) for j in range(1, g + 1))
-    return None
-
-
 def recover_strip_permutation(complex):
     """Read the permutation back off a strip surface, labels irrelevant.
 
-    The apex is the only vertex whose link is a long cycle missing the
-    tube interiors; every guess is cross-checked by rebuilding the surface
-    and demanding an isomorphism, so a wrong decode cannot be returned.
+    The punctured sphere P, strip_sphere(g) less its holes, is glued in
+    from its apex facet (0, 1, 2g + 5), seeded on the facets at each vertex
+    of the apex's degree in both orientations; a gluing counts only if it
+    places every facet of P.  Hole j of the first block leaves one unplaced
+    triangle on the image of its edge (j, j + 2) (consecutive holes share
+    (j, j + 1)).  Its third vertex and that vertex's neighbours off P form
+    tube j's ring, and the least second-block label of P that the ring
+    touches is g + 2 + perm[j - 1].  A guess is returned only when the
+    surface rebuilt from it is isomorphic to the complex.
     """
     n = len(complex.facets)
     g, rem = divmod(n - 8, 14)
     if g < 1 or rem != 0:
         raise InvalidComplexError("facet count %d is not 14g + 8" % n)
-    nbrs = {v: set() for v in complex.vertices}
-    for a, b in complex.faces(1):
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    candidates = sorted(complex.vertices,
-                        key=lambda v: (-len(nbrs[v]), _vkey(v)))
-    for c in candidates:
-        perm = _decode_apex(complex, nbrs, c, g)
-        if perm is None:
-            continue
-        if iso(strip_surface(perm), complex) is not None:
-            return perm
+    # determine_gluing needs a pure complex with every ridge in <= 2 facets
+    if complex.dim == 2 and complex.is_pure() and complex._incidence()[2]:
+        holes = set().union(*_strip_holes(g))
+        P = SimplicialComplex(F for F in strip_sphere(g).facets
+                              if F not in holes)
+        fs, stars = complex.facets, complex._stars()
+        apex = 2 * g + 5
+        for c in complex.vertices:
+            if len(stars[c]) != apex:
+                continue
+            for i in stars[c]:
+                x, y = (v for v in fs[i] if v != c)
+                # P's vertex 0 lies in three facets, and so must its image
+                for seed in ((x, y, c), (y, x, c)):
+                    if len(stars[seed[0]]) != 3:
+                        continue
+                    m = determine_gluing(P, complex, ((0, 1, apex), seed))
+                    perm = _read_strip_permutation(complex, P, m, g)
+                    if perm and iso(strip_surface(perm), complex) is not None:
+                        return perm
     raise InvalidComplexError("complex is not a strip surface")
+
+
+def _read_strip_permutation(complex, P, m, g):
+    """The permutation read through the gluing m of P into complex; None
+    unless m places every facet of P and the reading is a permutation."""
+    if m is None or len(m) < P.n_vertices:
+        return None
+    placed = {face_tuple(m[v] for v in F) for F in P.facets}
+    if not placed <= set(complex.facets):
+        return None
+    fs, stars = complex.facets, complex._stars()
+    inverse = {w: v for v, w in m.items()}
+    nbrs = lambda u: {w for i in stars[u] for w in fs[i]}
+    perm = []
+    for j in range(1, g + 1):
+        a, b = m[j], m[j + 2]
+        off = [fs[i] for i in stars[a] if b in fs[i] and fs[i] not in placed]
+        if len(off) != 1:
+            return None
+        x, = set(off[0]) - {a, b}
+        ring = {x} | {w for w in nbrs(x) if w not in inverse}
+        touched = {inverse[w] for u in ring for w in nbrs(u) if w in inverse}
+        perm.append(min((v - g - 2 for v in touched if v > g + 2), default=0))
+    return tuple(perm) if sorted(perm) == list(range(1, g + 1)) else None
 
 
 # -- grid surfaces ------------------------------------------------------------

@@ -107,8 +107,11 @@ def sd(complex, max_facets=DEFAULT_MAX_FACETS):
     #   their label tuples do.
     labels = [tuple(map(verts.__getitem__, f)) for f in faces]
     facets = [tuple(map(labels.__getitem__, c)) for c in chains]
-    return Subdivision(base=complex, complex=SimplicialComplex._canonical(facets),
-                       rounds=1)
+    out = SimplicialComplex._canonical(facets)
+    # every base face lies in a maximal chain, and face ranks follow the
+    # _vkey order of the labels: labels are out's vertices, in order
+    out._vertices = tuple(labels)
+    return Subdivision(base=complex, complex=out, rounds=1)
 
 
 def sd_k(complex, k, max_facets=DEFAULT_MAX_FACETS):

@@ -408,6 +408,17 @@ def test_usage_and_format_errors(tmp_path, capsys):
         3, "", "format error: empty facet in '0 1,'\n")
 
 
+
+def test_an_empty_target_or_facet_is_refused(tmp_path, capsys):
+    # an empty value is given, not absent: no collapse to a point, no
+    # search over every facet
+    disk = str(tmp_path / "disk.scx")
+    write_complex(DISK2, disk)
+    assert run(capsys, "collapse", disk, "--target", "") == (
+        3, "", "format error: empty facet in ''\n")
+    assert run(capsys, "endo", disk, "--facet", "") == (
+        3, "", "invalid input: () is not a facet\n")
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "scx", "generate",
                            "octahedron"], capture_output=True, text=True)

@@ -110,6 +110,24 @@ def test_recover_strip_permutation_roundtrip():
             assert recover_strip_permutation(M2) == perm
 
 
+
+def test_recover_strip_permutation_beyond_genus_three():
+    """Seeded genus-4 and genus-5 permutations, each relabelled at random
+    onto ints, strings and tuples."""
+    import random
+    rng = random.Random(45)
+    for g in (4, 5):
+        perms = list(itertools.permutations(range(1, g + 1)))
+        for perm in rng.sample(perms, 3):
+            M = strip_surface(perm)
+            vs = list(M.vertices)
+            for name in (lambda v: v + 100, lambda v: "v%d" % v,
+                         lambda v: (v, "t")):
+                images = [name(v) for v in vs]
+                rng.shuffle(images)
+                M2 = M.relabel(dict(zip(vs, images)))
+                assert recover_strip_permutation(M2) == perm
+
 def edge_flips(M):
     """Every surface one edge flip away from the closed surface M."""
     edges = {}

@@ -1,5 +1,6 @@
 """Stdlib lint: every name a module imports is used in that module, no
-module imports inside a function, every public name has a docstring, only
+module imports inside a function, every private function and class is
+named outside its own definition, every public name has a docstring, only
 errors.py raises a budget error, every budget message is pinned by an
 overrun row, and the certificate replay imports nothing of the search
 engine.
@@ -12,6 +13,7 @@ are the public re-exports.
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import scx
 
@@ -70,6 +72,47 @@ def test_no_module_imports_inside_a_function():
              for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
+
+
+def mentions(node):
+    """How often the tree under node names each name, read as a variable
+    or looked up as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def dead_private_helpers(sources):
+    """The private functions and classes, methods included, that the
+    sources define but name nowhere outside the definition itself."""
+    trees = [ast.parse(source) for source in sources]
+    named = sum(map(mentions, trees), Counter())
+    return sorted(node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")
+                  and named[node.name] == mentions(node)[node.name])
+
+
+def test_the_checker_sees_dead_private_helpers():
+    defining = ("def _used():\n    return 1\n"
+                "def _dead():\n    return _used()\n"
+                "def _selfish(n):\n    return _selfish(n - 1) if n else 0\n"
+                "class _Lone:\n    def __init__(self):\n        self._x = 0\n"
+                "    def _step(self):\n        return self._step\n"
+                "def _shared():\n    return 2\n")
+    using = "from a import _shared\ndef f():\n    return _shared()\n"
+    assert dead_private_helpers([defining, using]) == [
+        "_Lone", "_dead", "_selfish", "_step"]
+    assert dead_private_helpers([defining]) == [
+        "_Lone", "_dead", "_selfish", "_shared", "_step"]
+
+
+def test_every_private_helper_is_named_outside_its_own_def():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert len(sources) >= 12
+    assert dead_private_helpers(sources) == []
 
 def test_every_public_function_and_class_has_a_docstring():
     """Read from the source: a dataclass's generated __doc__ only repeats

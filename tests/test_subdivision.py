@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import scx.complexes
 import scx.subdivision
 from scx import BudgetExceededError, InvalidComplexError, SimplicialComplex, full_simplex, octahedron, simplex_boundary
-from scx.complexes import face_tuple
+from scx.complexes import _vkey, face_tuple
 from scx.subdivision import Subdivision, derived_neighborhood, sd, sd_k
 
 from conftest import labelled_complexes, random_complex
@@ -203,3 +203,14 @@ def test_sd_sorts_no_label(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
     assert [sd(C).complex.facets for C in inputs] == want
     assert sd_k(tet, 2).complex.facets == want_k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(labelled_complexes())
+def test_sd_stores_its_vertices_in_label_order(C):
+    """sd hands the vertex order it builds to the complex it returns, so
+    its vertices are never sorted again; a fresh _vkey sort agrees, one
+    round and two rounds deep, on int, str and tuple labels."""
+    for out in (sd(C).complex, sd_k(C, 2).complex):
+        labels = {v for F in out.facets for v in F}
+        assert out._vertices == tuple(sorted(labels, key=_vkey))
