@@ -24,11 +24,13 @@ forms of the whole (_canonical_form, _individualise).
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
-Results are deduplicated by canonical form.  The disk census canonicalises
-a grown disk only when its new triangle has the least removal key among
-the disk's removable triangles (the inverses of the two moves), a screen
-on an isomorphism invariant of the pair (disk, triangle); enumerate_disks
-proves that every class is still reached.
+Results are deduplicated by canonical form.  The disk census grows each
+representative by one move per orbit of its automorphism group, which the
+flag walk reports as the walks that tie the best code (_flag_form), and
+canonicalises a grown disk only when its new triangle has the least
+removal key among the disk's removable triangles (the inverses of the two
+moves), a screen on an isomorphism invariant of the pair (disk, triangle);
+enumerate_disks proves that every class is still reached.
 """
 
 import itertools
@@ -279,39 +281,59 @@ def canonical_label(complex, budget=DEFAULT_MAX_NODES):
 
     Isomorphic complexes produce equal canonical complexes, and
     complex.relabel(mapping) is the canonical one.  Connected pure
-    pseudomanifolds keep the smallest walk code over all flags, the first
-    one on a tie.  Each walk stops at its first entry above the best code's,
-    and a flag whose second entry is above the best code's is skipped
-    unwalked, since its walk would stop there.  Any other complex takes
-    _canonical_form.  Raises BudgetExceededError when flags exceed budget,
-    or when the leaves (relabelings) of that search do.
+    pseudomanifolds take _flag_form, any other complex _canonical_form.
+    Raises BudgetExceededError when flags exceed budget, or when the leaves
+    (relabelings) of that search do.
     """
     check_budget("budget", budget)
     if not complex.facets:
         return complex, {}
     if _connected_pm(complex):
-        spend(len(complex.facets) * math.factorial(complex.dim + 1), budget,
-              "canonical labeling needs %(requested)d walks (budget %(budget)d)")
-        vertices = complex.vertices
-        facets, table = _walk_table(complex)
-        best = best_label = None
-        best_k = -1
-        for start, perm, k in _flags(facets, table):
-            if k < best_k:
-                continue  # its second code entry exceeds best[1]
-            run = _canon_walk(facets, table, start, perm, best)
-            if run is not None and not run[2]:
-                (best, best_label, _), best_k = run, k
-        # the entries are distinct, strictly increasing int tuples of one
-        # length, so none nests in another, and sorted int tuples of one
-        # length are in _fkey order
-        return (SimplicialComplex._canonical(sorted(best)),
-                {v: best_label[i] for i, v in enumerate(vertices)})
+        return _flag_form(complex, budget)[:2]
 
     # canonical: each piece's form is, and later pieces take larger labels
     form, label = _canonical_form(complex, budget, "canonical labeling "
                                   "search exceeded %(budget)d relabelings")
     return SimplicialComplex._canonical(form), label
+
+
+def _flag_form(complex, budget):
+    """(canonical complex, label map, automorphisms) of a connected pure
+    pseudomanifold.
+
+    The form keeps the smallest walk code over all flags, the first one on
+    a tie.  Each walk stops at its first entry above the best code's, and a
+    flag whose second entry is above the best code's is skipped unwalked,
+    since its walk would stop there.  A walk that ties the best code in
+    full labels the complex onto the same form, so it and the best flag's
+    labels differ by an automorphism of the form; every automorphism
+    carries the best flag to such a tie.  The automorphisms, identity
+    omitted, are tuples p with p[x] the image of form vertex x; the list
+    restarts whenever the best code improves.
+    """
+    spend(len(complex.facets) * math.factorial(complex.dim + 1), budget,
+          "canonical labeling needs %(requested)d walks (budget %(budget)d)")
+    vertices = complex.vertices
+    facets, table = _walk_table(complex)
+    best = best_label = None
+    best_k, ties = -1, []
+    for start, perm, k in _flags(facets, table):
+        if k < best_k:
+            continue  # its second code entry exceeds best[1]
+        run = _canon_walk(facets, table, start, perm, best)
+        if run is None:
+            continue
+        if run[2]:
+            ties.append(run[1])
+        else:
+            (best, best_label, _), best_k, ties = run, k, []
+    ranks = sorted(best_label, key=best_label.__getitem__)  # by form vertex
+    automorphisms = [tuple(map(label.__getitem__, ranks)) for label in ties]
+    # the entries are distinct, strictly increasing int tuples of one
+    # length, so none nests in another, and sorted int tuples of one
+    # length are in _fkey order
+    return (SimplicialComplex._canonical(sorted(best)),
+            {v: best_label[i] for i, v in enumerate(vertices)}, automorphisms)
 
 
 def _canonical_form(complex, budget, over):
@@ -338,10 +360,11 @@ def _individualise(piece, tick):
     _vertex_signature cells in their order.  Refinement splits each cell
     that a queued splitter cell hits by its members' neighbour counts in
     the splitter (neighbours share a facet), parts by increasing count,
-    and queues every part.  A node individualises each v of its first
-    cell of two or more: v goes first in a cell of its own, the only
-    splitter.  A leaf, all singletons, labels vertices by position; the
-    least sorted relabelled facet list is the form.  It is canonical:
+    and queues every part; only the hit members are regrouped, the others
+    stay where they are as the count-0 part.  A node individualises each v
+    of its first cell of two or more: v goes first in a cell of its own,
+    the only splitter.  A leaf, all singletons, labels vertices by
+    position; the least sorted relabelled facet list is the form.  It is canonical:
     refinement, target cell and leaf form read no label, so a relabelling
     maps the search tree onto the relabelled piece's, leaf forms kept.  A
     node skips v if the transposition (u v) maps facets to facets for a
@@ -356,26 +379,39 @@ def _individualise(piece, tick):
                          if v not in F}
 
     def refine(cell, cells, queue):
+        own = set()  # cells made in this call, so not shared with a parent
         for w in queue:  # the queue grows while it is read
             count = Counter(chain.from_iterable(nbrs[x] for x in cells[w]))
-            for s in sorted({cell[y] for y in count}):
-                parts = {}
-                for y in cells[s]:
-                    parts.setdefault(count[y], []).append(y)
-                if len(parts) > 1:
-                    p = s
-                    for k in sorted(parts):
-                        cells[p] = parts[k]
-                        for y in parts[k]:
-                            cell[y] = p
-                        queue.append(p)
-                        p += len(parts[k])
+            hit = {}  # cell -> count -> its members with that count
+            for y, k in count.items():
+                hit.setdefault(cell[y], {}).setdefault(k, []).append(y)
+            for s in sorted(hit):
+                parts = hit[s]
+                rest = len(cells[s]) - sum(map(len, parts.values()))
+                if len(parts) + bool(rest) < 2:
+                    continue
+                p = s
+                if rest:  # the unhit members stay at s, the count-0 part
+                    if s not in own:
+                        cells[s] = set(cells[s])
+                        own.add(s)
+                    for m in parts.values():
+                        cells[s].difference_update(m)
+                    queue.append(s)
+                    p += rest
+                for k in sorted(parts):
+                    cells[p] = set(parts[k])
+                    own.add(p)
+                    for y in parts[k]:
+                        cell[y] = p
+                    queue.append(p)
+                    p += len(parts[k])
         return cell, cells
 
     sigs = sorted(sig.values())
     cell, cells = [bisect_left(sigs, sig[v]) for v in labels], {}
     for v, p in enumerate(cell):
-        cells.setdefault(p, []).append(v)
+        cells.setdefault(p, set()).add(v)
     best, stack = None, [refine(cell, cells, sorted(cells))]
     while stack:
         cell, cells = stack.pop()
@@ -390,7 +426,7 @@ def _individualise(piece, tick):
             if not any(link(u, v) == link(v, u) for u in tried):
                 tried.append(v)
                 c, z = cell[:], dict(cells)
-                z[s], z[s + 1] = [v], [x for x in cells[s] if x != v]
+                z[s], z[s + 1] = {v}, cells[s] - {v}
                 for x in z[s + 1]:
                     c[x] = s + 1
                 stack.append(refine(c, z, [s]))
@@ -493,7 +529,10 @@ def enumerate_disks(max_triangles):
 
     Level t+1 comes from level t by two boundary moves: an ear over one
     boundary edge using a fresh vertex, and a corner fill over two consecutive
-    boundary edges whose endpoints are not yet joined by an edge.  A grown
+    boundary edges whose endpoints are not yet joined by an edge.  Each
+    representative keeps its automorphism group from _flag_form, and makes
+    one move per orbit of the group on its boundary edges (ears) and on its
+    corner vertices (corners): the least member of each orbit.  A grown
     disk is kept only when its new triangle has the least removal key
     (_removal_keys) among its removable triangles; only kept disks are
     canonicalised and deduplicated.
@@ -507,24 +546,36 @@ def enumerate_disks(max_triangles):
     uv, uv is a boundary edge of X - r, and the loop makes the ear over
     f(uv) from P.  If r is a corner at w over uv, then wu and wv are the
     boundary edges at w in X - r and uv is no edge of it, so the loop makes
-    the corner at f(w) from P.  Either way the grown disk is isomorphic to
-    X by an isomorphism carrying its new triangle to r, so its new
-    triangle has r's key, the least one, and it is kept.
+    the corner at f(w) from P.  The loop makes that move m only when m is
+    the least of its orbit; else it makes the least one, g(m) for an
+    automorphism g of P (which keeps edges and boundary edges, so moves go
+    to moves).  Growing P by g(m) gives a disk isomorphic to
+    growing it by m, by g extended with the fresh vertex to itself, which
+    carries the new triangle onto the new triangle.  Either way the grown
+    disk is isomorphic to X by an isomorphism carrying its new triangle to
+    r, so its new triangle has r's key, the least one, and it is kept.  The
+    argument asks only that g be an automorphism of P, so it holds for the
+    orbits of any subgroup of the group.
     """
     if max_triangles < 1:
         return {}
     spend(max_triangles, 12, "disk census capped at %(budget)d triangles")
-    levels = {1: [SimplicialComplex([(0, 1, 2)])]}
+    triangle = SimplicialComplex([(0, 1, 2)])  # its own canonical form
+    levels = {1: [triangle]}
+    groups = [_flag_form(triangle, DEFAULT_MAX_NODES)[2]]
     for t in range(1, max_triangles):
         nxt = {}
-        for disk in levels[t]:
+        for disk, group in zip(levels[t], groups):
             edge_count = Counter(chain.from_iterable(
                 map(combinations, disk.facets, repeat(2))))
             boundary = [e for e, c in edge_count.items() if c == 1]
             fresh = max(disk.vertices) + 1
             grown = []
             for (x, y) in boundary:
-                grown.append(disk.facets + (face_tuple((x, y, fresh)),))
+                # the least boundary edge of its orbit
+                if all((min(g[x], g[y]), max(g[x], g[y])) >= (x, y)
+                       for g in group):
+                    grown.append(disk.facets + (face_tuple((x, y, fresh)),))
             at_vertex = {}
             for (x, y) in boundary:
                 at_vertex.setdefault(x, []).append(y)
@@ -533,7 +584,8 @@ def enumerate_disks(max_triangles):
             for w, (u, v) in at_vertex.items():
                 if face_tuple((u, v)) in edge_count:
                     continue
-                grown.append(disk.facets + (face_tuple((u, v, w)),))
+                if all(g[w] >= w for g in group):  # least corner of its orbit
+                    grown.append(disk.facets + (face_tuple((u, v, w)),))
             for facets in grown:
                 keys = dict(_removal_keys(facets))
                 if keys[facets[-1]] > min(keys.values()):
@@ -543,9 +595,10 @@ def enumerate_disks(max_triangles):
                 # fill's edge uv is absent; so the sorted facets are
                 # canonical
                 cand = SimplicialComplex._canonical(sorted(facets))
-                key, _ = canonical_label(cand)
-                nxt.setdefault(key.facets, key)
-        levels[t + 1] = [nxt[k] for k in sorted(nxt)]
+                form, _, automorphisms = _flag_form(cand, DEFAULT_MAX_NODES)
+                nxt.setdefault(form.facets, (form, automorphisms))
+        levels[t + 1] = [nxt[k][0] for k in sorted(nxt)]
+        groups = [nxt[k][1] for k in sorted(nxt)]
     return levels
 
 

@@ -86,8 +86,12 @@ def strip_surface(perm):
     tube around hole j uses the fresh vertices 2g + 3j + 3 .. 2g + 3j + 5.
     """
     perm = _check_perm(perm)
+    return _strip_surface(strip_sphere(len(perm)), perm)
+
+
+def _strip_surface(sphere, perm):
+    """strip_surface(perm) built on sphere, strip_sphere(len(perm))."""
     g = len(perm)
-    sphere = strip_sphere(g)
     signs = sphere.orientation()
     holes_a, holes_b = _strip_holes(g)
     removed = set(holes_a + holes_b)
@@ -121,9 +125,8 @@ def recover_strip_permutation(complex):
         raise InvalidComplexError("facet count %d is not 14g + 8" % n)
     # determine_gluing needs a pure complex with every ridge in <= 2 facets
     if complex.dim == 2 and complex.is_pure() and complex._incidence()[2]:
-        holes = set().union(*_strip_holes(g))
-        P = SimplicialComplex(F for F in strip_sphere(g).facets
-                              if F not in holes)
+        sphere, holes = strip_sphere(g), set().union(*_strip_holes(g))
+        P = SimplicialComplex(F for F in sphere.facets if F not in holes)
         fs, stars = complex.facets, complex._stars()
         apex = 2 * g + 5
         for c in complex.vertices:
@@ -137,7 +140,8 @@ def recover_strip_permutation(complex):
                         continue
                     m = determine_gluing(P, complex, ((0, 1, apex), seed))
                     perm = _read_strip_permutation(complex, P, m, g)
-                    if perm and iso(strip_surface(perm), complex) is not None:
+                    if perm and iso(_strip_surface(sphere, perm),
+                                    complex) is not None:
                         return perm
     raise InvalidComplexError("complex is not a strip surface")
 

@@ -7,6 +7,7 @@ answers from a plain vertex-permutation backtracker.
 """
 
 import hashlib
+import importlib
 import itertools
 import random
 import time
@@ -21,6 +22,7 @@ from scx import (BudgetExceededError, InvalidComplexError, SimplicialComplex,
                  full_simplex, octahedron, simplex_boundary)
 from scx.census import (
     IsoCertificate,
+    _flag_form,
     _removal_keys,
     canonical_label,
     census,
@@ -744,6 +746,71 @@ def test_disk_census_to_ten_triangles_is_frozen():
     for t in sorted(levels):
         digest.update(repr((t, [D.facets for D in levels[t]])).encode())
     assert digest.hexdigest() == DISKS_10_DIGEST
+
+
+def brute_automorphisms(facets):
+    """Every permutation p of the vertices 0..n-1 of an int complex mapping
+    facets onto facets, as the tuple of images, by backtracking over vertex
+    images with each facet checked once all its vertices have one."""
+    fs = {tuple(sorted(F)) for F in facets}
+    n = len({v for F in fs for v in F})
+    found, image = [], []
+
+    def rec():
+        v = len(image)
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if w in image:
+                continue
+            image.append(w)
+            if all(tuple(sorted(image[x] for x in F)) in fs
+                   for F in fs if v in F and max(F) == v):
+                rec()
+            image.pop()
+
+    rec()
+    return found
+
+
+def test_flag_form_reports_every_automorphism_but_the_identity():
+    rng = random.Random(24)
+    members = [D for level in enumerate_disks(6).values() for D in level]
+    members += enumerate_surfaces(6)
+    assert len(members) == 49
+    for C in members:  # each is its own canonical form
+        form, label, automorphisms = _flag_form(shuffled(C, rng), 10 ** 6)
+        assert form == C
+        identity = tuple(range(C.n_vertices))
+        assert identity not in automorphisms
+        for p in automorphisms:
+            assert {_tri(p[x] for x in F) for F in form.facets} == set(
+                form.facets)
+        want = brute_automorphisms(C.facets)
+        assert len(automorphisms) + 1 == len(want), C.facets
+        assert set(automorphisms) | {identity} == set(want)
+
+
+@pytest.mark.parametrize("max_triangles, grown", [(8, 379), (10, 4350)])
+def test_disk_census_canonicalises_one_disk_per_move_orbit(
+        monkeypatch, max_triangles, grown):
+    """One _flag_form call for the triangle's group, then one per grown
+    disk that passes the removal-key screen.  Growing by one move per
+    automorphism orbit leaves 379 of them at 8 triangles and 4350 at 10;
+    growing by every move leaves 539 and 4936."""
+    module = importlib.import_module("scx.census")
+    calls, flag_form = [], module._flag_form
+
+    def counted(*args):
+        calls.append(args[0])
+        return flag_form(*args)
+
+    monkeypatch.setattr(module, "_flag_form", counted)
+    levels = enumerate_disks(max_triangles)
+    assert len(calls) == 1 + grown
+    assert calls[0].facets == ((0, 1, 2),)
+    assert len(levels[max_triangles]) == {8: 244, 10: 2805}[max_triangles]
 
 
 def test_every_disk_has_a_removable_triangle_leaving_a_smaller_disk():

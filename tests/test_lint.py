@@ -1,9 +1,9 @@
 """Stdlib lint: every name a module imports is used in that module, no
-module imports inside a function, every private function and class is
-named outside its own definition, every public name has a docstring, only
-errors.py raises a budget error, every budget message is pinned by an
-overrun row, and the certificate replay imports nothing of the search
-engine.
+module imports inside a function, no function writes module-level state,
+every private function and class is named outside its own definition,
+every public name has a docstring, only errors.py raises a budget error,
+every budget message is pinned by an overrun row, and the certificate
+replay imports nothing of the search engine.
 
 The project depends on no linter, so this walks the syntax trees itself.
 The package __init__ is exempt from the unused-import check: its imports
@@ -72,6 +72,108 @@ def test_no_module_imports_inside_a_function():
              for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
+
+MUTATORS = {"append", "extend", "update", "setdefault", "pop", "clear", "add",
+            "insert", "remove"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_names(node):
+    """The names a statement or function body binds in its own scope:
+    stores, deletes and nested definitions, not the names bound inside
+    nested functions or classes."""
+    found, todo = set(), list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            found.add(n.name)
+            todo.extend(n.decorator_list)
+            continue
+        if isinstance(n, ast.Lambda):
+            continue
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found.update((a.asname or a.name).split(".")[0] for a in n.names)
+        todo.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def root_name(node):
+    """The name at the root of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_writes(source):
+    """Lines where a function of source writes module-level state: a global
+    statement, a store or delete through a subscript or attribute of a
+    module-level name, or a mutating method call on one.  A name a function
+    or an enclosing one binds (a parameter, a local) is not module-level."""
+    tree = ast.parse(source)
+    lines = set()
+
+    def visit(node, shadowed):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, FUNCTIONS):
+                args = n.args
+                params = {a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+                visit(n, (shadowed or set()) | params | bound_names(n))
+                continue
+            if isinstance(n, ast.ClassDef):
+                visit(n, shadowed)  # a class body is no function scope
+                continue
+            if shadowed is not None:
+                if isinstance(n, ast.Global):
+                    lines.add(n.lineno)
+                elif (isinstance(n, (ast.Subscript, ast.Attribute))
+                      and not isinstance(n.ctx, ast.Load)):
+                    target = root_name(n)
+                elif (isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in MUTATORS):
+                    target = root_name(n.func.value)
+                else:
+                    target = None
+                if target in module_names and target not in shadowed:
+                    lines.add(n.lineno)
+            visit(n, shadowed)
+
+    module_names = bound_names(tree)
+    visit(tree, None)  # None: at module level, outside every function
+    return sorted(lines)
+
+
+def test_the_checker_sees_module_state_writes():
+    source = ("import sys\nCACHE = {}\nSEEN = []\nclass C:\n    n = 0\n"
+              "def f(x):\n    global COUNT\n    CACHE[x] = 1\n"
+              "    SEEN.append(x)\n    sys.path.insert(0, x)\n"
+              "    C.n = 2\n    del CACHE[x]\n    CACHE[x] += 1\n"
+              "    return [SEEN.pop() for _ in x]\n"
+              "def g(x):\n    def h():\n        CACHE.update(x)\n"
+              "    return h\n"
+              "h = lambda x: SEEN.extend(x)\n")
+    assert module_state_writes(source) == [7, 8, 9, 10, 11, 12, 13, 14, 17,
+                                           19]
+    clean = ("CACHE = {}\nSEEN = []\nCACHE[0] = 1\nSEEN.append(0)\n"
+             "def f(CACHE, x):\n    CACHE[x] = 1\n    SEEN = []\n"
+             "    SEEN.append(x)\n    out = {}\n    out.update(CACHE)\n"
+             "    def g():\n        SEEN.append(x)\n        out[x] = 2\n"
+             "    return SEEN.index(x), CACHE.get(x), g\n"
+             "class C:\n    def m(self, x):\n        self.items.append(x)\n"
+             "        self.n = x\n")
+    assert module_state_writes(clean) == []
+
+
+def test_no_function_writes_module_level_state():
+    """Nothing in the package hands state from one call to the next."""
+    found = {p.name: module_state_writes(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 12
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def mentions(node):
