@@ -39,12 +39,12 @@ recounted, so a node costs those faces, not a scan of every face.
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, compress, count, repeat
 
-from .complexes import face_tuple, _fkey
+from .complexes import face_tuple, _fkey, _levels
 from .errors import DEFAULT_MAX_NODES, InvalidComplexError, check_budget
 from .subdivision import sd
 
@@ -97,12 +97,6 @@ def _face_order_key(f):
     return (len(f), _fkey(f))
 
 
-def _levels(facets):
-    """The nonempty faces of the given facets, one set per face size."""
-    return [set(chain.from_iterable(map(combinations, facets, repeat(k))))
-            for k in range(1, max(map(len, facets), default=0) + 1)]
-
-
 def _chi(levels):
     return sum(len(level) * (-1) ** k for k, level in enumerate(levels))
 
@@ -119,19 +113,20 @@ class _Engine:
     """
 
     def __init__(self, levels, goal=None):
-        self.faces = faces = [f for level in levels for f in sorted(level)]
-        self.index = index = dict(zip(faces, range(len(faces))))
-        self.sub = sub = [()] * len(faces)
+        self.faces = faces = list(chain.from_iterable(map(sorted, levels)))
+        self.index = index = dict(zip(faces, count()))
+        self.sub = sub = [()] * (len(levels[0]) if levels else 0)
         self.sup = sup = [[] for _ in faces]
-        for i in range(len(levels[0]) if levels else 0, len(faces)):
-            f = faces[i]
-            # the face less f[0] first, as for position 0, 1, ... dropped;
-            # combinations drops the last position first
-            s = sub[i] = list(map(index.__getitem__,
-                                  combinations(f, len(f) - 1)))
-            s.reverse()
-            for j in s:
-                sup[j].append(i)
+        for level in levels[1:]:
+            ids = range(len(sub), len(sub) + len(level))
+            cols = list(zip(*faces[ids.start:ids.stop]))
+            # the faces less the vertex at position p, for p = 0, 1, ...
+            drops = [list(map(index.__getitem__,
+                              zip(*cols[:p], *cols[p + 1:])))
+                     for p in range(len(cols))]
+            for drop in drops:  # a deque of length 0 runs the appends only
+                deque(map(list.append, map(sup.__getitem__, drop), ids), 0)
+            sub.extend(zip(*drops))
         self.goal_size = 1 if goal is None else sum(map(len, goal))
         self.up0 = up0 = list(map(len, sup))
         for level in goal or ():

@@ -71,6 +71,13 @@ def _closure(facets):
     return faces
 
 
+def _levels(facets):
+    """The nonempty faces of the given faces, one frozenset per face size."""
+    return [frozenset(itertools.chain.from_iterable(
+                map(itertools.combinations, facets, itertools.repeat(k))))
+            for k in range(1, max(map(len, facets), default=0) + 1)]
+
+
 def _ridge_map(facets):
     """Ridge -> (facet index, position of the vertex facing the ridge) for
     each facet of dimension >= 1 containing it."""
@@ -198,18 +205,24 @@ class SimplicialComplex:
     def n_vertices(self):
         return len(self.vertices)
 
+    def _face_levels(self):
+        """The faces of each dimension 0..dim, as frozensets, built once."""
+        if self._by_dim is None:
+            self._by_dim = _levels(self.facets)
+        return self._by_dim
+
     def faces(self, dim=None):
-        """All nonempty faces as a frozenset, or just those of one dimension."""
+        """All nonempty faces as a frozenset, or just those of one dimension.
+
+        The faces of one dimension come from _face_levels; the frozenset of
+        all of them is built only when asked for.
+        """
+        if dim is not None:
+            levels = self._face_levels()
+            return levels[dim] if 0 <= dim < len(levels) else frozenset()
         if self._faces is None:
             self._faces = frozenset(_closure(self.facets))
-        if dim is None:
-            return self._faces
-        if self._by_dim is None:
-            bd = {}
-            for f in self._faces:
-                bd.setdefault(len(f) - 1, []).append(f)
-            self._by_dim = {k: frozenset(v) for k, v in bd.items()}
-        return self._by_dim.get(dim, frozenset())
+        return self._faces
 
     def has_face(self, sigma):
         return face_tuple(sigma) in self.faces()
@@ -218,10 +231,11 @@ class SimplicialComplex:
         return self.has_face(sigma)
 
     def f_vector(self):
-        return tuple(len(self.faces(k)) for k in range(self.dim + 1))
+        return tuple(map(len, self._face_levels()))
 
     def euler_characteristic(self):
-        return sum((-1) ** k * len(self.faces(k)) for k in range(self.dim + 1))
+        return sum((-1) ** k * len(level)
+                   for k, level in enumerate(self._face_levels()))
 
     def is_pure(self):
         return len({len(F) for F in self.facets}) <= 1
@@ -443,7 +457,9 @@ class SimplicialComplex:
         """Decide whether this is a connected triangulated surface and which one.
 
         Disconnected complexes report not-a-surface.  The index gives the
-        pieces, the thin flag and each vertex link, read off the star.
+        pieces, the thin flag and each vertex link, read off the star; the
+        ends of the links that are paths give the boundary edges, so the
+        boundary is never built.
         """
         chi = self.euler_characteristic()
 
@@ -456,7 +472,7 @@ class SimplicialComplex:
         if not thin or len(pieces) != 1:  # one piece is vertex-connected: see below
             return fail()
         fs = self.facets
-        closed = True
+        rim = {}  # boundary vertex -> its two neighbours along the boundary
         for v, star in stars.items():
             # the link of v is the graph of edges F - v over its star facets
             nbrs = {}
@@ -481,12 +497,21 @@ class SimplicialComplex:
             if seen != len(nbrs):
                 return fail()
             if ends:
-                closed = False
+                # an end u of the path makes v u an edge of one triangle
+                rim[v] = ends
         orientable = self.orientation() is not None
-        b = 0 if closed else len(self.boundary().connected_components())
+        # every boundary vertex has two boundary neighbours, so the boundary
+        # is a union of cycles: walk each one off rim
+        b = 0
+        while rim:
+            b += 1
+            prev, (cur, _) = rim.popitem()
+            while cur in rim:
+                x, y = rim.pop(cur)
+                prev, cur = cur, (y if x == prev else x)
         twice = 2 - chi - b  # twice the genus, or the cross-cap count
         return SurfaceClass(
-            kind="closed-surface" if closed else "surface-with-boundary",
+            kind="surface-with-boundary" if b else "closed-surface",
             euler_characteristic=chi, orientable=orientable,
             genus=twice // 2 if orientable else None,
             cross_caps=None if orientable else twice, boundary_components=b,

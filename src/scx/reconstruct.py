@@ -38,9 +38,10 @@ def _rank0_neighbours(facets, ranks):
 
 
 def _rankings(complex, strict, tick=lambda: None):
-    """rank_colorings' assignments in the same order; with strict, only
-    those whose every piece passes the rank-0 neighbour count.  tick is
-    called once per seed ordering tried."""
+    """rank_colorings' assignments in the same order, each with the
+    complex's _rank0_neighbours table under it (None unless strict); with
+    strict, only those whose every piece passes the rank-0 neighbour count.
+    tick is called once per seed ordering tried."""
     fs = complex.facets
     # per ridge-connected piece: its facets, seed first, and the vertex pairs
     # facing the ridges of its spanning tree
@@ -48,6 +49,7 @@ def _rankings(complex, strict, tick=lambda: None):
                [(fs[i][p], fs[j][q]) for i, p, j, q in tree])
               for s, tree in complex._incidence()[3]]
     ranks = {}
+    tables = [None] * len(pieces)  # each piece's table, for strict
 
     def seeds(k):
         # one yield per seed ordering the piece accepts; the piece's ranks
@@ -69,9 +71,10 @@ def _rankings(complex, strict, tick=lambda: None):
                 elif ranks[y] != ranks[x]:
                     break
             else:
-                if not strict or all(
-                        len(zs) == ranks[v] + 1 for v, zs in
-                        _rank0_neighbours(facets, ranks).items()):
+                if strict:
+                    tables[k] = _rank0_neighbours(facets, ranks)
+                if not strict or all(len(zs) == ranks[v] + 1
+                                     for v, zs in tables[k].items()):
                     yield True
             for v in added:
                 del ranks[v]
@@ -79,7 +82,7 @@ def _rankings(complex, strict, tick=lambda: None):
     stack = []
     while True:
         if len(stack) == len(pieces):
-            yield dict(ranks)
+            yield dict(ranks), _merged(tables) if strict else None
         else:
             stack.append(seeds(len(stack)))
         while stack and not next(stack[-1], False):
@@ -88,10 +91,21 @@ def _rankings(complex, strict, tick=lambda: None):
             return
 
 
+def _merged(tables):
+    """One vertex -> rank-0 neighbours table holding those of all tables."""
+    if len(tables) == 1:
+        return tables[0]
+    below = {}
+    for table in tables:
+        for v, zs in table.items():
+            below.setdefault(v, set()).update(zs)
+    return below
+
+
 def rank_colorings(complex):
     """Yield every rank assignment giving each facet the ranks 0..L-1, in the
     order of a facet-by-facet search over the sorted facets."""
-    return _rankings(complex, False)
+    return (ranks for ranks, _ in _rankings(complex, False))
 
 
 def rank_coloring(complex):
@@ -101,10 +115,11 @@ def rank_coloring(complex):
     return None
 
 
-def _try_ranks(complex, ranks):
-    """Facets, as sets, of the T with sd(T) = complex under ranks, or None."""
+def _try_ranks(complex, ranks, below):
+    """Facets, as sets, of the T with sd(T) = complex under ranks, or None;
+    below is the complex's _rank0_neighbours table under ranks."""
     back = {}  # face of the candidate -> the vertex standing for it
-    for u, zs in _rank0_neighbours(complex.facets, ranks).items():
+    for u, zs in below.items():
         fu = frozenset(zs)
         if len(fu) != ranks[u] + 1 or fu in back:
             return None
@@ -138,8 +153,8 @@ def reconstruct(complex, max_nodes=DEFAULT_MAX_NODES):
                          "reconstruct tried more than %(budget)d seed orderings")
     pieces = []
     for part in complex.connected_components():
-        tries = (_try_ranks(part, ranks)
-                 for ranks in _rankings(part, True, tick))
+        tries = (_try_ranks(part, ranks, below)
+                 for ranks, below in _rankings(part, True, tick))
         got = next(filter(None, tries), None)
         if got is None:
             raise NotDerivedSubdivisionError(

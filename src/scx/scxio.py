@@ -14,7 +14,9 @@ facet list.  One renumbering pass is not idempotent (resorting the facets can
 change which vertex appears first), so the pass is iterated until the facet
 list stops changing.  That always happens: a pass that changes the list makes
 it lexicographically smaller (see canonical_facets), so no state repeats.
-Rewriting a written file is therefore byte-identical.
+The same proof shows that the list is fixed exactly when its first-appearance
+order is 0, 1, 2, ..., so the passes stop there, without a pass that only
+confirms it.  Rewriting a written file is therefore byte-identical.
 
 Reading is strict in the same way: facet lines must hold strictly
 increasing labels, come in increasing order and never nest, and the last
@@ -28,21 +30,37 @@ heads the empty complex), single spaces or certificate-face commas between
 fields and nothing after the last.  Any other spelling is rejected with
 its field and line, and so is a field too long for int() to read.
 
-Both readers take one line at a time.  A facet line, and a collapse line
-before the claim, is matched by one compiled pattern (_FACET_LINE,
-_COLLAPSE_LINE) and read with map(int, ...).  Any other line, or one where
-int() fails on a field past Python's int-to-str digit limit, goes to the
-per-field diagnosis (_split_strict, _int_fields, the directive dispatch),
-which names the line.  It refuses every line the patterns refuse:
-_split_strict refuses an empty field, so a line it passes is fields joined
-by single spaces; a collapse line then needs three of them, the faces
-split at commas; and _int_fields refuses a field int() cannot read (its
-first loop) or that is not an _INT (its second).  The patterns accept
-exactly such lines of _INT fields, and "collapse F F".  So a collapse line
-before the claim that reaches the diagnosis fails one of its checks, and
-only the pattern's reading appends a pair.  One match covers
-one line, so its backtracking memory ends with the line: reading the
-10368 facet lines of sd^4 of the octahedron peaks under 4 MB.
+The complex reader reads its facet lines in bulk, with no Python loop per
+line (_bulk_facets): every line is matched by one compiled pattern
+(_FACET_LINE) through one map, the lines are joined _CHUNK at a time and
+split, one map(int, ...) reads the fields, and zip groups them into facets.
+Strict increase is checked by comparing neighbouring columns, facet order
+by comparing neighbouring facets, each with operator.lt in one map; the
+nesting check runs only when facet sizes differ (_check_unnested).  Only
+when a bulk check fails does the per-line loop run (_first_fault), to name
+the first line at fault with the message a line-by-line reading gives; a
+nesting on an earlier line still comes first.
+
+The certificate reader takes one line at a time: a collapse line before
+the claim is matched by one compiled pattern (_COLLAPSE_LINE) and read with
+map(int, ...); any other line, or one where int() fails on a field past
+Python's int-to-str digit limit, goes to the directive dispatch.
+
+The per-field diagnosis of both readers (_split_strict, _int_fields)
+refuses every line the patterns refuse: _split_strict refuses an empty
+field, so a line it passes is fields joined by single spaces; a collapse
+line then needs three of them, the faces split at commas; and _int_fields
+refuses a field int() cannot read (its first loop) or that is not an _INT
+(its second).  The patterns accept exactly such lines of _INT fields, and
+"collapse F F".  So a facet line that the pattern or int() refuses in the
+bulk read fails one of the diagnosis's checks, so does a collapse line
+before the claim that reaches the dispatch, and only the pattern's reading
+appends a pair.
+
+Memory stays bounded: one match covers one line, so its backtracking memory
+ends with the line, and only the split fields of one chunk of lines are
+alive at once.  Reading the 10368 facet lines of sd^4 of the octahedron
+peaks under 4 MB.
 
 Certificates use one line per step:
 
@@ -55,9 +73,9 @@ An endo-collapsible claim's goal, the boundary, is implied by the complex
 and never stored: its target_facets stays None.
 """
 
-import itertools
 import re
-from operator import attrgetter, lt
+from itertools import chain, count, islice, repeat
+from operator import attrgetter, eq, lt
 
 from .collapse import CollapsePair, CollapseSequence
 from .complexes import SimplicialComplex, face_tuple
@@ -69,17 +87,24 @@ _INT_FIELD = re.compile(_INT)
 _FACET_LINE = re.compile("%s(?: %s)*" % (_INT, _INT))
 _FACE = "(%s(?:,%s)*)" % (_INT, _INT)
 _COLLAPSE_LINE = re.compile("collapse %s %s" % (_FACE, _FACE))
+_CHUNK = 256  # facet lines joined for one split: bounds the fields alive
 
 
-def _relabel_once(facets):
-    """One renumbering pass: vertices by first appearance, then each facet
-    and the list sorted."""
-    order = dict.fromkeys(itertools.chain.from_iterable(facets))
+def _renumbered(facets, order):
+    """Each facet and the list sorted, with every vertex replaced by its
+    position in `order`, which holds the facets' vertices; its values are
+    overwritten."""
     for i, v in enumerate(order):
         order[v] = i
     out = [tuple(sorted(map(order.__getitem__, F))) for F in facets]
     out.sort()
     return out
+
+
+def _relabel_once(facets):
+    """One renumbering pass: vertices by first appearance, then each facet
+    and the list sorted."""
+    return _renumbered(facets, dict.fromkeys(chain.from_iterable(facets)))
 
 
 def canonical_facets(complex):
@@ -89,11 +114,15 @@ def canonical_facets(complex):
     Let F be the first facet with a vertex the pass moves.  The facets
     before it keep their labels, so these are 0..m-1, and the new vertices
     of F take m, m+1, ... in order: none grows and one shrinks, so the
-    image of F, and with it the new list, sorts lower.
+    image of F, and with it the new list, sorts lower.  So a pass changes
+    the list exactly when it moves a vertex, and the passes stop at the
+    first list whose first-appearance order is 0, 1, 2, ...
     """
-    prev, cur = None, _relabel_once(complex.facets)
-    while cur != prev:
-        prev, cur = cur, _relabel_once(cur)
+    cur = _relabel_once(complex.facets)
+    order = dict.fromkeys(chain.from_iterable(cur))
+    while not all(map(eq, order, count())):
+        cur = _renumbered(cur, order)
+        order = dict.fromkeys(chain.from_iterable(cur))
     return tuple(cur)
 
 
@@ -149,6 +178,69 @@ def _header_value(lines, idx, keyword):
     return _int_fields(parts[1:], idx + 1)[0]
 
 
+def _bulk_facets(body):
+    """The facets on the facet lines `body`, or None when a line is
+    misspelled, holds a field int() cannot read, is not strictly increasing
+    or does not sort after the line before it.  Nesting is not checked."""
+    if not all(map(_FACET_LINE.fullmatch, body)):
+        return None
+    sizes = set(map(str.count, body, repeat(" ")))
+    try:
+        if len(sizes) == 1:  # facets of one size: compare whole columns
+            chunks = map(" ".join, map(body.__getitem__, map(
+                slice, range(0, len(body), _CHUNK), count(_CHUNK, _CHUNK))))
+            ints = map(int, chain.from_iterable(map(str.split, chunks)))
+            facets = list(zip(*[ints] * (sizes.pop() + 1)))
+            cols = list(zip(*facets))
+            increasing = all(map(all, map(map, repeat(lt), cols, cols[1:])))
+        else:
+            facets = [tuple(map(int, line.split(" "))) for line in body]
+            increasing = all(all(map(lt, f, f[1:])) for f in facets)
+    except ValueError:  # a field past int()'s digit limit
+        return None
+    if increasing and all(map(lt, facets, islice(facets, 1, None))):
+        return facets
+    return None
+
+
+def _first_fault(body):
+    """The facets on the lines of `body` before the first one at fault, and
+    the ScxFormatError naming that line (None if no line is)."""
+    facets = []
+    for line_no, line in enumerate(body, 5):
+        try:
+            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
+            if not all(map(lt, f, f[1:])):
+                raise ScxFormatError(
+                    "facet vertices must be strictly increasing", line_no)
+            if facets and f <= facets[-1]:
+                raise ScxFormatError(
+                    "facets must be listed in increasing order", line_no)
+        except ScxFormatError as e:
+            return facets, e
+        facets.append(f)
+    return facets, None
+
+
+def _check_unnested(facets):
+    """Refuse the first facet nested with an earlier one, naming both lines;
+    facets of one size are distinct, so they never nest."""
+    if len(set(map(len, facets))) < 2:
+        return
+    stars = {}  # vertex -> indices of the earlier facets containing it
+    for k, f in enumerate(facets):
+        # an earlier facet nested with f sorts before f, so it contains f[0]
+        fs = set(f)
+        nested = [j for j in stars.get(f[0], ())
+                  if len(facets[j]) != len(f)
+                  and (fs.issubset(facets[j]) or fs.issuperset(facets[j]))]
+        if nested:
+            raise ScxFormatError("facet is nested with the one on line %d"
+                                 % (5 + nested[0]), 5 + k)
+        for v in f:
+            stars.setdefault(v, []).append(k)
+
+
 def complex_from_text(text):
     """Parse .scx text strictly, naming the line of the first fault."""
     lines = text.split("\n")
@@ -164,43 +256,18 @@ def complex_from_text(text):
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
-    facets = []
-    # vertex -> indices of the earlier facets containing it; two distinct
-    # facets of one size cannot nest, so it is kept only if sizes differ
-    stars = {} if len({line.count(" ") for line in lines[4:]}) > 1 else None
-    for k, line in enumerate(lines[4:]):
-        line_no = 5 + k
-        try:
-            if not _FACET_LINE.fullmatch(line):
-                raise ValueError
-            f = tuple(map(int, line.split(" ")))
-        except ValueError:  # refused by the pattern or by int()
-            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
-        for a, b in zip(f, f[1:]):
-            if a >= b:
-                raise ScxFormatError("facet vertices must be strictly increasing",
-                                     line_no)
-        if facets and f <= facets[-1]:
-            raise ScxFormatError("facets must be listed in increasing order",
-                                 line_no)
-        if stars is not None:
-            # an earlier facet nested with f sorts before f, so it contains f[0]
-            fs = set(f)
-            nested = [j for j in stars.get(f[0], ())
-                      if len(facets[j]) != len(f)
-                      and (fs.issubset(facets[j]) or fs.issuperset(facets[j]))]
-            if nested:
-                raise ScxFormatError("facet is nested with the one on line %d"
-                                     % (5 + nested[0]), line_no)
-            for v in f:
-                stars.setdefault(v, []).append(k)
-        facets.append(f)
-    used = {v for F in facets for v in F}
+    facets, fault = _bulk_facets(lines[4:]), None
+    if facets is None:  # read again line by line, to name the first fault
+        facets, fault = _first_fault(lines[4:])
+    _check_unnested(facets)  # a nesting before the faulty line comes first
+    if fault is not None:
+        raise fault
+    used = set(chain.from_iterable(facets))
     # the count first: n_vertices comes from the header, not from the text
     if len(used) != n_vertices or used != set(range(n_vertices)):
         raise ScxFormatError("vertex labels must be exactly 0..%d"
                              % (n_vertices - 1), 4)
-    got_dim = max((len(F) for F in facets), default=0) - 1
+    got_dim = max(map(len, facets), default=0) - 1
     if got_dim != dim:
         raise ScxFormatError("declared dim %d but facets have dim %d"
                              % (dim, got_dim), 2)
@@ -229,13 +296,13 @@ def read_complex(path):
 def certificate_to_text(cert):
     """One line per certificate step; needs integer vertex labels."""
     targets = cert.target_facets if cert.claim == "collapse-to" else None
-    faces = itertools.chain(
+    faces = chain(
         () if cert.removed_facet is None else (cert.removed_facet,),
         map(attrgetter("free"), cert.pairs),
         map(attrgetter("coface"), cert.pairs), targets or ())
     # the label types of the whole text, checked once; str(True) is "True",
     # which no reader takes for an integer
-    types = set(map(type, itertools.chain.from_iterable(faces)))
+    types = set(map(type, chain.from_iterable(faces)))
     if bool in types or not all(issubclass(t, int) for t in types):
         raise ScxFormatError(
             "certificate serialization needs integer vertex labels; "

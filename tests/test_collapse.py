@@ -526,6 +526,28 @@ def test_the_bitmask_search_is_the_list_search_on_polygon_disks(monkeypatch):
     assert refuted == 132 and nodes == 73016
 
 
+@pytest.mark.parametrize("complex", [sd_k(simplex_boundary(3), 2).complex]
+                         + [SimplicialComplex(T)
+                            for T in polygon_triangulations(7)])
+def test_engine_tables_match_a_reference_build(complex):
+    """sub[i] lists the faces of i less its vertex at position 0, 1, ...,
+    as combinations lists them reversed; sup[j] holds the faces j is one
+    vertex short of."""
+    levels = collapse._levels(complex._ranked()[2])
+    engine = collapse._Engine(levels)
+    faces, index = engine.faces, engine.index
+    assert faces == sorted(set().union(*levels), key=lambda f: (len(f), f))
+    sup = [set() for _ in faces]
+    for i, f in enumerate(faces):
+        row = [index[r] for r in itertools.combinations(f, len(f) - 1)
+               if r][::-1]
+        assert list(engine.sub[i]) == row
+        for j in row:
+            sup[j].add(i)
+    assert [set(s) for s in engine.sup] == sup
+    assert all(len(s) == len(set(s)) for s in engine.sup)
+
+
 @st.composite
 def engine_starts(draw):
     """A random complex of dimension at most 2 on 6 vertices, as _levels of

@@ -1,5 +1,6 @@
 """Core complex type: construction, closure, local operations, surfaces."""
 
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from scx import (
     octahedron,
     simplex_boundary,
 )
+from scx.subdivision import sd_k
 
 from conftest import labelled_complexes
 
@@ -238,6 +240,45 @@ def test_classify_surfaces():
     assert SimplicialComplex([(0, 1)]).classify_surface().kind == "not-a-surface"
     book = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     assert book.classify_surface().kind == "not-a-surface"
+
+
+def test_boundary_components_count_the_holes(monkeypatch):
+    # sd^2 of the octahedron less m facets with no vertex in common is a
+    # sphere with m holes; boundary() is never called for it
+    monkeypatch.setattr(SimplicialComplex, "boundary", None)
+    K = sd_k(octahedron(), 2).complex
+    holes = []
+    for F in K.facets:
+        if len(holes) < 4 and set(F).isdisjoint(chain.from_iterable(holes)):
+            holes.append(F)
+    for m in range(5):
+        C = SimplicialComplex([F for F in K.facets if F not in holes[:m]])
+        sc = C.classify_surface()
+        assert (sc.kind, sc.genus, sc.boundary_components) == (
+            "surface-with-boundary" if m else "closed-surface", 0, m)
+
+
+def brute_force_faces(C):
+    """Every nonempty vertex subset of every facet, by dimension."""
+    by_dim = {}
+    for F in C.facets:
+        for mask in range(1, 2 ** len(F)):
+            face = tuple(v for i, v in enumerate(F) if mask >> i & 1)
+            by_dim.setdefault(len(face) - 1, set()).add(face)
+    return by_dim
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(labelled_complexes())
+def test_face_counts_match_a_brute_force_closure(C):
+    want = brute_force_faces(C)
+    top = max(want, default=-1)
+    assert C.f_vector() == tuple(len(want[k]) for k in range(top + 1))
+    assert C.euler_characteristic() == sum((-1) ** k * len(want[k])
+                                           for k in want)
+    for k in range(-1, top + 2):
+        assert C.faces(k) == frozenset(want.get(k, ()))
+    assert C.faces() == frozenset().union(*want.values())
 
 
 def test_equality_and_hash():

@@ -141,6 +141,47 @@ def test_parser_rejects_a_missing_final_newline():
     assert str(e) == "line 5: malformed spacing"
 
 
+OCT_TEXT = ("scx 1\ndim 2\nvertices 6\nfacets 8\n0 1 2\n0 1 3\n0 2 4\n0 3 4\n"
+            "1 2 5\n1 3 5\n2 4 5\n3 4 5\n")
+MIXED_TEXT = "scx 1\ndim 2\nvertices 5\nfacets 4\n0 1\n0 1 2\n1 3\n3 4\n"
+
+
+def swapped(old, new, text=OCT_TEXT):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+READER_FAULTS = [
+    (swapped("0 3 4", "0 3 +4"), "non-canonical integer '+4'", 8),
+    (swapped("1 3 5", "1  3 5"), "malformed spacing", 10),
+    (swapped("2 4 5", "2 4 " + "1" * 4301),
+     "expected an integer, got '%s…' (4301 characters)" % ("1" * 20), 11),
+    (swapped("0 2 4", "0 4 2"),
+     "facet vertices must be strictly increasing", 7),
+    (swapped("0 1 3\n0 2 4", "0 2 4\n0 1 3"),
+     "facets must be listed in increasing order", 7),
+    (swapped("1 3 5", "1 2 5"), "facets must be listed in increasing order", 10),
+    (MIXED_TEXT, "facet is nested with the one on line 5", 6),
+    # a nesting on an earlier line is named before a misspelling; past
+    # mixed sizes that do not nest, the misspelling is named
+    (swapped("3 4\n", "3 04\n", MIXED_TEXT),
+     "facet is nested with the one on line 5", 6),
+    ("scx 1\ndim 2\nvertices 5\nfacets 3\n0 1 2\n1 3\n3 04\n",
+     "non-canonical integer '04'", 7),
+    (swapped("vertices 6", "vertices 7"), "vertex labels must be exactly 0..6", 4),
+    (swapped("dim 2", "dim 3"), "declared dim 3 but facets have dim 2", 2),
+    (swapped("3 4 5\n", ""), "expected 8 facet lines, found 7", 11),
+    (OCT_TEXT[:-1], "missing final newline", 12),
+]
+
+
+@pytest.mark.parametrize("text, message, line_no", READER_FAULTS)
+def test_each_reader_fault_keeps_its_message_and_line(text, message, line_no):
+    complex_from_text(OCT_TEXT)
+    e = bad(text, line_no)
+    assert str(e) == "line %d: %s" % (line_no, message)
+
+
 def test_reading_a_large_file_takes_bounded_memory():
     """The 10368 facet lines of sd^4 of the octahedron, 148735 bytes: one
     spelling match over all of them took 8.7 MB of backtracking memory, a
