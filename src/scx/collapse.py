@@ -39,8 +39,9 @@ recounted, so a node costs those faces, not a scan of every face.
 """
 
 import random
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, compress, count, repeat
 
@@ -53,12 +54,20 @@ DEFAULT_ATTEMPTS = 16  # discrete_morse_vector's runs
 _SEED_STRIDE = 1000003
 
 
-@dataclass(frozen=True)
-class CollapsePair:
-    """One elementary collapse: a free face and its unique coface."""
+class CollapsePair(namedtuple("CollapsePair", "free coface")):
+    """One elementary collapse: a free face and its unique coface.
 
-    free: tuple
-    coface: tuple
+    A named tuple: .free and .coface name its two entries and cannot be
+    set, and equality and hash are the tuple's, so a pair hashes as
+    (free, coface).  The search and the reader build pairs with
+    _new_pair, tuple.__new__ bound to the class, which skips the
+    Python-level __new__.
+    """
+
+    __slots__ = ()
+
+
+_new_pair = partial(tuple.__new__, CollapsePair)  # (free, coface) -> pair
 
 
 @dataclass(frozen=True)
@@ -364,9 +373,10 @@ def _decide(complex, labels, faces, goal, claim, candidates, options,
                 verdict, reason, got, nodes = stage(engine, sigma, seed,
                                                     seeds, max_nodes)
                 if got is not None:
-                    pairs = tuple(CollapsePair(label(engine.faces[i]),
-                                               label(engine.faces[t]))
-                                  for i, t in got)
+                    # the faces of each (i, t) in turn, read off in pairs
+                    in_turn = map(label, map(engine.faces.__getitem__,
+                                             chain.from_iterable(got)))
+                    pairs = tuple(map(_new_pair, zip(in_turn, in_turn)))
                     return CollapseResult(verdict, reason, CollapseSequence(
                         complex.facets, None if sigma is None else label(sigma),
                         pairs, claim, target), nodes)

@@ -151,8 +151,11 @@ def reconstruct(complex, max_nodes=DEFAULT_MAX_NODES):
     nodes = itertools.count(1)
     tick = lambda: spend(next(nodes), max_nodes,
                          "reconstruct tried more than %(budget)d seed orderings")
+    # one ridge-connected piece is one vertex-connected part: the input
+    parts = ([complex] if len(complex._incidence()[3]) == 1
+             else complex.connected_components())
     pieces = []
-    for part in complex.connected_components():
+    for part in parts:
         tries = (_try_ranks(part, ranks, below)
                  for ranks, below in _rankings(part, True, tick))
         got = next(filter(None, tries), None)

@@ -30,37 +30,38 @@ heads the empty complex), single spaces or certificate-face commas between
 fields and nothing after the last.  Any other spelling is rejected with
 its field and line, and so is a field too long for int() to read.
 
-The complex reader reads its facet lines in bulk, with no Python loop per
-line (_bulk_facets): every line is matched by one compiled pattern
-(_FACET_LINE) through one map, the lines are joined _CHUNK at a time and
-split, one map(int, ...) reads the fields, and zip groups them into facets.
-Strict increase is checked by comparing neighbouring columns, facet order
-by comparing neighbouring facets, each with operator.lt in one map; the
-nesting check runs only when facet sizes differ (_check_unnested).  Only
-when a bulk check fails does the per-line loop run (_first_fault), to name
-the first line at fault with the message a line-by-line reading gives; a
-nesting on an earlier line still comes first.
+Both readers read their many lines on one skeleton (_read_block): a bulk
+reading with no Python loop per line, and only when one of its checks
+fails a per-line loop, which names the first line at fault with the
+message a line-by-line reading gives.  A bulk reading matches each line
+with one compiled pattern through one map, joins the lines _CHUNK at a
+time, splits them and reads the fields with one map(int, ...).  Facet
+lines (_bulk_facets, else _facet_line) are zipped into facets; strict
+increase is checked by comparing neighbouring columns, facet order by
+comparing neighbouring facets, with operator.lt; nesting is checked only
+when facet sizes differ (_check_unnested), and a nesting before the
+first faulty line comes first.  A certificate's block is the collapse
+lines that _COLLAPSE_LINE matches after an optional remove line; the
+first line it refuses, and those after it, go to the directive dispatch.
+In the block (_bulk_pairs, else _pair_line) the fields are cut into
+faces at the spaces, and strict increase is checked at every comma.  An
+unsorted face fails the bulk reading but is legal: the per-line loop
+sorts it, refuses a repeated vertex, and otherwise finds no fault.
 
-The certificate reader takes one line at a time: a collapse line before
-the claim is matched by one compiled pattern (_COLLAPSE_LINE) and read with
-map(int, ...); any other line, or one where int() fails on a field past
-Python's int-to-str digit limit, goes to the directive dispatch.
+The per-field diagnosis (_split_strict, _int_fields) refuses every line
+the patterns refuse: _split_strict refuses an empty field, so a line it
+passes is fields joined by single spaces; a collapse line then needs three
+of them, the faces split at commas; and _int_fields refuses a field int()
+cannot read (its first loop) or that is not an _INT (its second).  The
+patterns accept exactly such lines of _INT fields, and "collapse F F".  So
+a facet line that the pattern or int() refuses fails one of _facet_line's
+checks, and so does, in the dispatch, a collapse line that ends the block
+before the claim: no collapse line is dropped unread.
 
-The per-field diagnosis of both readers (_split_strict, _int_fields)
-refuses every line the patterns refuse: _split_strict refuses an empty
-field, so a line it passes is fields joined by single spaces; a collapse
-line then needs three of them, the faces split at commas; and _int_fields
-refuses a field int() cannot read (its first loop) or that is not an _INT
-(its second).  The patterns accept exactly such lines of _INT fields, and
-"collapse F F".  So a facet line that the pattern or int() refuses in the
-bulk read fails one of the diagnosis's checks, so does a collapse line
-before the claim that reaches the dispatch, and only the pattern's reading
-appends a pair.
-
-Memory stays bounded: one match covers one line, so its backtracking memory
-ends with the line, and only the split fields of one chunk of lines are
-alive at once.  Reading the 10368 facet lines of sd^4 of the octahedron
-peaks under 4 MB.
+Memory stays bounded: one match covers one line, the patterns' possessive
+repeats keep no backtracking state, and only the split fields of one chunk
+of lines are alive at once.  Reading the 10368 facet lines of sd^4 of the
+octahedron peaks under 4 MB.
 
 Certificates use one line per step:
 
@@ -74,20 +75,21 @@ and never stored: its target_facets stays None.
 """
 
 import re
-from itertools import chain, count, islice, repeat
-from operator import attrgetter, eq, lt
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, attrgetter, eq, lt, not_
 
-from .collapse import CollapsePair, CollapseSequence
+from .collapse import CollapseSequence, _new_pair
 from .complexes import SimplicialComplex, face_tuple
 from .errors import InvalidComplexError, ScxFormatError
 
 MAGIC = "scx 1"
-_INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
+_INT = r"(?:0|-?[1-9][0-9]*+)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
-_FACET_LINE = re.compile("%s(?: %s)*" % (_INT, _INT))
-_FACE = "(%s(?:,%s)*)" % (_INT, _INT)
+_FACET_LINE = re.compile("%s(?: %s)*+" % (_INT, _INT))
+_FACE = "%s(?:,%s)*+" % (_INT, _INT)
 _COLLAPSE_LINE = re.compile("collapse %s %s" % (_FACE, _FACE))
-_CHUNK = 256  # facet lines joined for one split: bounds the fields alive
+_INSIDE = str.maketrans(", ", "\x01\x00", "-0123456789")  # "," 1, " " 0
+_CHUNK = 256  # lines joined for one split: bounds the fields alive
 
 
 def _renumbered(facets, order):
@@ -178,6 +180,29 @@ def _header_value(lines, idx, keyword):
     return _int_fields(parts[1:], idx + 1)[0]
 
 
+def _chunks(lines):
+    """The lines joined by spaces, _CHUNK lines at a time."""
+    return map(" ".join, map(lines.__getitem__, map(
+        slice, range(0, len(lines), _CHUNK), count(_CHUNK, _CHUNK))))
+
+
+def _read_block(block, first_no, bulk, read_line):
+    """The items on the lines `block`, numbered from first_no, and the
+    ScxFormatError naming the first line at fault, or None: bulk(block)
+    reads them all, or gives None when a check fails, and only then does
+    read_line(line, line_no, items so far) read them line by line."""
+    items = bulk(block)
+    if items is not None:
+        return items, None
+    items = []
+    for line_no, line in enumerate(block, first_no):
+        try:
+            items.append(read_line(line, line_no, items))
+        except ScxFormatError as e:
+            return items, e
+    return items, None
+
+
 def _bulk_facets(body):
     """The facets on the facet lines `body`, or None when a line is
     misspelled, holds a field int() cannot read, is not strictly increasing
@@ -187,9 +212,7 @@ def _bulk_facets(body):
     sizes = set(map(str.count, body, repeat(" ")))
     try:
         if len(sizes) == 1:  # facets of one size: compare whole columns
-            chunks = map(" ".join, map(body.__getitem__, map(
-                slice, range(0, len(body), _CHUNK), count(_CHUNK, _CHUNK))))
-            ints = map(int, chain.from_iterable(map(str.split, chunks)))
+            ints = map(int, chain.from_iterable(map(str.split, _chunks(body))))
             facets = list(zip(*[ints] * (sizes.pop() + 1)))
             cols = list(zip(*facets))
             increasing = all(map(all, map(map, repeat(lt), cols, cols[1:])))
@@ -203,23 +226,17 @@ def _bulk_facets(body):
     return None
 
 
-def _first_fault(body):
-    """The facets on the lines of `body` before the first one at fault, and
-    the ScxFormatError naming that line (None if no line is)."""
-    facets = []
-    for line_no, line in enumerate(body, 5):
-        try:
-            f = tuple(_int_fields(_split_strict(line, line_no), line_no))
-            if not all(map(lt, f, f[1:])):
-                raise ScxFormatError(
-                    "facet vertices must be strictly increasing", line_no)
-            if facets and f <= facets[-1]:
-                raise ScxFormatError(
-                    "facets must be listed in increasing order", line_no)
-        except ScxFormatError as e:
-            return facets, e
-        facets.append(f)
-    return facets, None
+def _facet_line(line, line_no, facets):
+    """The facet on one facet line; it must be strictly increasing and
+    sort after the last of `facets`."""
+    f = tuple(_int_fields(_split_strict(line, line_no), line_no))
+    if not all(map(lt, f, f[1:])):
+        raise ScxFormatError("facet vertices must be strictly increasing",
+                             line_no)
+    if facets and f <= facets[-1]:
+        raise ScxFormatError("facets must be listed in increasing order",
+                             line_no)
+    return f
 
 
 def _check_unnested(facets):
@@ -256,9 +273,7 @@ def complex_from_text(text):
     if len(lines) != 4 + n_facets:
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
-    facets, fault = _bulk_facets(lines[4:]), None
-    if facets is None:  # read again line by line, to name the first fault
-        facets, fault = _first_fault(lines[4:])
+    facets, fault = _read_block(lines[4:], 5, _bulk_facets, _facet_line)
     _check_unnested(facets)  # a nesting before the faulty line comes first
     if fault is not None:
         raise fault
@@ -325,16 +340,40 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _face(vs, line_no):
-    """The face of the ints vs, sorted; a repeated vertex is refused."""
-    if len(vs) > 1 and not all(map(lt, vs, vs[1:])):
-        vs = tuple(sorted(vs))
-        if len(set(vs)) != len(vs):
-            try:
-                face_tuple(vs)
-            except InvalidComplexError as e:  # names the repeated vertex
-                raise ScxFormatError(str(e), line_no)
-    return vs
+def _bulk_pairs(block):
+    """The pairs on the collapse lines `block`, each one _COLLAPSE_LINE
+    matches, or None when a field is past int()'s digit limit or a face
+    is not strictly increasing."""
+    faces = []
+    for chunk in _chunks(block):
+        chunk = chunk.replace("collapse ", "")  # the faces, space-separated
+        try:
+            ints = tuple(map(int, chunk.replace(" ", ",").split(",")))
+        except ValueError:  # a field past int()'s digit limit
+            return None
+        # per pair of neighbouring fields, 1 inside a face, 0 between faces
+        inside = chunk.translate(_INSIDE)
+        if not all(compress(map(lt, ints, islice(ints, 1, None)),
+                            inside.encode())):
+            return None
+        # each face's end in ints: its 1s, plus one, after the last end
+        ends = [0]
+        ends += accumulate(map(add, map(len, inside.split("\x00")), repeat(1)))
+        faces += map(ints.__getitem__, map(slice, ends, islice(ends, 1, None)))
+    in_turn = iter(faces)  # free face, coface, free face, ...
+    return list(map(_new_pair, zip(in_turn, in_turn)))
+
+
+def _pair_line(line, line_no, pairs):
+    """The pair on one collapse line that _COLLAPSE_LINE matches, its faces
+    sorted; both faces' fields are read before a repeated vertex is
+    refused."""
+    faces = [_int_fields(face.split(","), line_no)
+             for face in line.split(" ")[1:]]
+    try:
+        return _new_pair(tuple(map(face_tuple, faces)))
+    except InvalidComplexError as e:  # names the repeated vertex
+        raise ScxFormatError(str(e), line_no) from None
 
 
 def certificate_from_text(text, complex):
@@ -343,33 +382,31 @@ def certificate_from_text(text, complex):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    removed = None
-    pairs = []
+    removed, start = None, 0
+    if lines and lines[0].partition(" ")[0] == "remove":
+        removed = face_tuple(_int_fields(_split_strict(lines[0], 1)[1:], 1))
+        start = 1
+    # the collapse block: the lines from start that _COLLAPSE_LINE matches,
+    # up to the first one it does not
+    end = next(compress(count(start), map(not_, map(
+        _COLLAPSE_LINE.fullmatch, islice(lines, start, None)))), len(lines))
+    pairs, fault = _read_block(lines[start:end], start + 1, _bulk_pairs,
+                               _pair_line)
+    if fault is not None:
+        raise fault
     claim = None
     targets = []
-    for line_no, line in enumerate(lines, 1):
-        m = claim is None and _COLLAPSE_LINE.fullmatch(line)
-        if m:
-            try:
-                free = tuple(map(int, m[1].split(",")))
-                coface = tuple(map(int, m[2].split(",")))
-            except ValueError:  # refused by int(): diagnosed below
-                pass
-            else:
-                pairs.append(CollapsePair(_face(free, line_no),
-                                          _face(coface, line_no)))
-                continue
+    for line_no, line in enumerate(islice(lines, end, None), end + 1):
         parts = _split_strict(line, line_no)
-        if parts[0] == "remove":
-            if removed is not None or pairs or claim:
-                raise ScxFormatError("remove must be the first line", line_no)
-            removed = face_tuple(_int_fields(parts[1:], line_no))
+        if parts[0] == "remove":  # only the first line may remove
+            raise ScxFormatError("remove must be the first line", line_no)
         elif parts[0] == "collapse":
             if claim is not None:
                 raise ScxFormatError("collapse after claim", line_no)
+            # the line that ends the block: _COLLAPSE_LINE refused it, and
+            # so do these checks (docstring)
             if len(parts) != 3:
                 raise ScxFormatError("collapse needs two faces", line_no)
-            # _COLLAPSE_LINE read every line that passes this (docstring)
             for face in parts[1:]:
                 _int_fields(face.split(","), line_no)
         elif parts[0] == "claim":

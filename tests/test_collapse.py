@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 from scx import (InvalidComplexError, SimplicialComplex, certificate_to_text,
                  full_simplex, octahedron, polygon_triangulations,
                  simplex_boundary)
-from scx import collapse
+from scx import collapse, scxio
 from scx.collapse import (
+    CollapsePair,
     collapses_to,
     discrete_morse_vector,
     is_collapsible,
     is_endo_collapsible,
     sd_endo_collapsibility_report,
 )
+from scx.scxio import certificate_from_text, complex_from_text, complex_to_text
 from scx.subdivision import sd, sd_k
 from scx.verify import verify_certificate
 
@@ -765,6 +767,58 @@ def test_search_outputs_are_frozen():
 def test_the_frozen_outputs_cover_every_strategy_and_entry_point():
     assert set(SEARCH_DIGESTS) == set(itertools.product(
         SEARCH_CALLS, collapse.STRATEGIES, SEARCH_BUDGETS))
+
+
+def test_written_texts_never_reach_a_per_line_diagnosis(monkeypatch):
+    """The readers' per-line loops only name faults, so the bulk readings
+    take whole every text the writers write: each certificate of the
+    frozen corpus, and each rung of the `scx sd` ladder of LADDER_DIGESTS
+    (sd one round at a time from the written text) with its greedy endo
+    certificate, sd^3 of the octahedron's among them."""
+    def refused(*args):
+        raise AssertionError("a per-line diagnosis ran on written text")
+
+    monkeypatch.setattr(scxio, "_facet_line", refused)
+    monkeypatch.setattr(scxio, "_pair_line", refused)
+    corpus = [octahedron(), simplex_boundary(3), full_simplex(3),
+              sd(octahedron()).complex.normalize(),
+              sd_k(full_simplex(2), 2).complex.normalize(),
+              dunce_hat()] + hexagon_triangulations()
+    read = 0
+    for (entry, strategy, budget) in SEARCH_DIGESTS:
+        for C in corpus:
+            res = SEARCH_CALLS[entry](C, strategy=strategy,
+                                      **SEARCH_BUDGETS[budget])
+            if res:
+                text = certificate_to_text(res.certificate)
+                assert certificate_from_text(text, C) == res.certificate
+                read += 1
+    assert read > 300
+    for base, rounds in ((octahedron(), 3), (full_simplex(2), 4),
+                         (full_simplex(3), 2)):
+        text = complex_to_text(base)
+        for _ in range(rounds):
+            text = complex_to_text(sd(complex_from_text(text)).complex)
+            C = complex_from_text(text)
+            cert = is_endo_collapsible(C).certificate
+            assert certificate_from_text(certificate_to_text(cert), C) == cert
+
+
+def test_collapse_pairs_are_named_tuples():
+    p = CollapsePair((1, 2), (1, 2, 3))
+    assert (p.free, p.coface) == ((1, 2), (1, 2, 3))
+    assert p == CollapsePair(free=(1, 2), coface=(1, 2, 3))
+    assert p != CollapsePair((1,), (1, 2))
+    assert hash(p) == hash(((1, 2), (1, 2, 3)))
+    assert repr(p) == "CollapsePair(free=(1, 2), coface=(1, 2, 3))"
+    for name in ("free", "coface", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (1,))
+    assert p == CollapsePair((1, 2), (1, 2, 3))
+    assert p._replace(free=(3,)) == CollapsePair((3,), (1, 2, 3))
+    # the builder the search and the reader share makes the same pairs
+    q = collapse._new_pair(((1, 2), (1, 2, 3)))
+    assert type(q) is CollapsePair and q == p
 
 
 # entry point -> a call whose shortcut (Euler gate, empty complex) would

@@ -57,6 +57,20 @@ def test_constructor_names_a_label_it_sorts_but_cannot_hash():
         SimplicialComplex(F for F in [(0, 2), facet])
 
 
+def test_constructor_passes_on_a_type_error_of_hashable_labels():
+    """Labels that hash but raise TypeError when compared fail the facet
+    set once two equal facets meet; every label hashes, so the error is
+    passed on as it is, not named an unhashable label."""
+    class Incomparable(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            raise TypeError("labels that do not compare")
+
+    with pytest.raises(TypeError, match="^labels that do not compare$"):
+        SimplicialComplex([(Incomparable(0),), (Incomparable(0),)])
+
+
 def test_empty_inputs():
     assert SimplicialComplex().dim == -1
     assert SimplicialComplex().facets == ()

@@ -6,17 +6,23 @@ writer.
 """
 
 import dataclasses
+import re
 import tracemalloc
+from operator import lt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scx.collapse import collapses_to, is_collapsible, is_endo_collapsible
-from scx.complexes import SimplicialComplex, full_simplex, octahedron
-from scx.errors import ScxFormatError
+from scx import scxio
+from scx.collapse import (CollapsePair, CollapseSequence, collapses_to,
+                          is_collapsible, is_endo_collapsible)
+from scx.complexes import (SimplicialComplex, face_tuple, full_simplex,
+                           octahedron)
+from scx.errors import InvalidComplexError, ScxFormatError
 from scx.families import polygon_triangulations
-from scx.scxio import (_relabel_once, canonical_facets, certificate_from_text,
+from scx.scxio import (_int_fields, _relabel_once, _split_strict,
+                       canonical_facets, certificate_from_text,
                        certificate_to_text, complex_from_text,
                        complex_to_text, read_certificate, read_complex,
                        write_certificate, write_complex)
@@ -680,3 +686,144 @@ def test_certificate_reader_matches_a_field_by_field_oracle(case):
     assert verdict(certificate_from_text, variant, C) == \
         oracle_verdict(variant, starts, cert)
 
+
+
+# -- the bulk certificate reading against the per-line reading -----------------
+
+
+def test_an_unsorted_face_is_read_sorted_by_the_per_line_loop(monkeypatch):
+    """An unsorted face fails the bulk reading, but the text is legal: the
+    per-line loop reads every line, finds no fault, and hands back the
+    faces sorted, so the certificate writes back sorted."""
+    cert = is_endo_collapsible(DISK2, facet=(0, 1, 2)).certificate
+    text = certificate_to_text(cert)
+    assert "collapse 1,2 1,2,3\n" in text
+    read_lines = []
+    pair_line = scxio._pair_line
+
+    def counted(line, line_no, pairs):
+        read_lines.append(line_no)
+        return pair_line(line, line_no, pairs)
+
+    monkeypatch.setattr(scxio, "_pair_line", counted)
+    for old, new in (("collapse 1,2 1,2,3\n", "collapse 2,1 3,1,2\n"),
+                     ("collapse 1,2 1,2,3\n", "collapse 1,2 1,3,2\n")):
+        del read_lines[:]
+        got = certificate_from_text(text.replace(old, new), DISK2)
+        assert read_lines == list(range(2, len(cert.pairs) + 2))
+        assert got == cert
+        assert certificate_to_text(got) == text
+
+
+OLD_INT = r"(?:0|-?[1-9][0-9]*)"
+OLD_FACE = "(%s(?:,%s)*)" % (OLD_INT, OLD_INT)
+OLD_COLLAPSE_LINE = re.compile("collapse %s %s" % (OLD_FACE, OLD_FACE))
+
+
+def per_line_certificate_reader(text, complex):
+    """certificate_from_text as it read before the bulk reading, one line
+    at a time, kept as the bulk reading's oracle."""
+    def face(vs, line_no):
+        if len(vs) > 1 and not all(map(lt, vs, vs[1:])):
+            vs = tuple(sorted(vs))
+            if len(set(vs)) != len(vs):
+                try:
+                    face_tuple(vs)
+                except InvalidComplexError as e:
+                    raise ScxFormatError(str(e), line_no)
+        return vs
+
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    removed = None
+    pairs = []
+    claim = None
+    targets = []
+    for line_no, line in enumerate(lines, 1):
+        m = claim is None and OLD_COLLAPSE_LINE.fullmatch(line)
+        if m:
+            try:
+                free = tuple(map(int, m[1].split(",")))
+                coface = tuple(map(int, m[2].split(",")))
+            except ValueError:
+                pass
+            else:
+                pairs.append(CollapsePair(face(free, line_no),
+                                          face(coface, line_no)))
+                continue
+        parts = _split_strict(line, line_no)
+        if parts[0] == "remove":
+            if removed is not None or pairs or claim:
+                raise ScxFormatError("remove must be the first line", line_no)
+            removed = face_tuple(_int_fields(parts[1:], line_no))
+        elif parts[0] == "collapse":
+            if claim is not None:
+                raise ScxFormatError("collapse after claim", line_no)
+            if len(parts) != 3:
+                raise ScxFormatError("collapse needs two faces", line_no)
+            for f in parts[1:]:
+                _int_fields(f.split(","), line_no)
+        elif parts[0] == "claim":
+            if claim is not None:
+                raise ScxFormatError("duplicate claim", line_no)
+            if len(parts) != 2:
+                raise ScxFormatError("claim needs one word", line_no)
+            claim = parts[1]
+        elif parts[0] == "target":
+            if claim != "collapse-to":
+                raise ScxFormatError(
+                    "target lines only follow a collapse-to claim", line_no)
+            targets.append(face_tuple(_int_fields(parts[1:], line_no)))
+        else:
+            raise ScxFormatError("unknown directive %r" % parts[0], line_no)
+    if claim is None:
+        raise ScxFormatError("certificate has no claim line", len(lines) or 1)
+    return CollapseSequence(
+        initial_facets=complex.facets, removed_facet=removed,
+        pairs=tuple(pairs), claim=claim,
+        target_facets=tuple(targets) if targets else None)
+
+
+SD_OCT = complex_from_text(complex_to_text(sd(octahedron()).complex))
+HEPTAGON_DISKS = [complex_from_text(complex_to_text(SimplicialComplex(T)))
+                  for T in polygon_triangulations(7)]
+
+
+@st.composite
+def respelled_certificates(draw):
+    """A complex, sd(oct) or a 7-gon disk, and the text of one of its
+    certificates with a few faces of collapse lines respelled: their
+    vertices reordered, or one of them repeated."""
+    C = draw(st.sampled_from([SD_OCT] + HEPTAGON_DISKS))
+    kw = dict(strategy=draw(st.sampled_from(["greedy", "lex"])),
+              seed=draw(st.integers(0, 3)))
+    if C is SD_OCT or draw(st.booleans()):
+        res = is_endo_collapsible(C, facet=draw(st.sampled_from(C.facets)),
+                                  **kw)
+    else:
+        res = collapses_to(C, SimplicialComplex([C.facets[-1]]), **kw)
+    assert res.verdict == "yes"
+    lines = certificate_to_text(res.certificate).split("\n")
+    at = [k for k, line in enumerate(lines) if line.startswith("collapse ")]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(at))
+        words = lines[k].split(" ")
+        w = draw(st.integers(1, 2))
+        fields = words[w].split(",")
+        if draw(st.booleans()):
+            fields = draw(st.permutations(fields))
+        else:
+            fields.insert(draw(st.integers(0, len(fields))),
+                          draw(st.sampled_from(fields)))
+        words[w] = ",".join(fields)
+        lines[k] = " ".join(words)
+    return C, "\n".join(lines)
+
+
+@SETTINGS
+@given(respelled_certificates())
+def test_certificate_reader_matches_the_per_line_reader(case):
+    C, text = case
+    assert verdict(certificate_from_text, text, C) == \
+        verdict(per_line_certificate_reader, text, C)

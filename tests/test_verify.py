@@ -83,7 +83,7 @@ def test_tampered_certificates_get_the_scan_verdict(sd2_cert):
         "terminal state": pairs[:-1],
         "names a dead face": pairs[:6] + pairs[5:],
         "is not a face and its immediate coface":
-            pairs[:k] + [dataclasses.replace(pairs[k], free=free[:1])]
+            pairs[:k] + [pairs[k]._replace(free=free[:1])]
             + pairs[k + 1:],
     }
     middle = len(pairs) // 2
@@ -130,7 +130,7 @@ def test_single_pair_mutations_get_the_scan_verdict(data):
         pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
     else:
         face = data.draw(st.sampled_from(sorted(C.faces())))
-        pairs[k] = dataclasses.replace(pairs[k], **{how: face})
+        pairs[k] = pairs[k]._replace(**{how: face})
     bad = tampered(cert, pairs)
     assert verify_certificate(bad, C) == scan_replay(bad)
 
@@ -194,12 +194,12 @@ def test_faces_outside_the_ranked_labels_read_as_face_tuple_reads_them():
         return verify_certificate(dataclasses.replace(cert, **change), C)
 
     for bad in ((first.free[0], 9), ("a",), ((7,),)):
-        pairs = (dataclasses.replace(first, free=bad),) + cert.pairs[1:]
+        pairs = (first._replace(free=bad),) + cert.pairs[1:]
         assert replay(pairs=pairs) == (False, "pair 0 names a dead face")
     for free, message in (((1, 1), "repeated vertex 1 in face (1, 1)"),
                           ((1, 2.5), "unsupported vertex label 2.5"),
                           (([1], 2), "unsupported vertex label [1]")):
-        pairs = (dataclasses.replace(first, free=free),) + cert.pairs[1:]
+        pairs = (first._replace(free=free),) + cert.pairs[1:]
         with pytest.raises(InvalidComplexError, match=re.escape(message)):
             replay(pairs=pairs)
     assert replay(removed_facet=(1, 2, 9)) == \
@@ -232,6 +232,23 @@ def test_an_unhashable_label_face_tuple_accepts_is_refused_as_unhashable():
         verify_certificate(cert)
 
 
+def test_replay_passes_on_a_type_error_of_hashable_labels():
+    """Labels that hash but raise TypeError when compared fail the label
+    set of the replay; face_tuple accepts each facet and every label
+    hashes, so the error is passed on as it is."""
+    class Incomparable(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            raise TypeError("labels that do not compare")
+
+    facets = ((Incomparable(0),), (Incomparable(0),))
+    cert = CollapseSequence(initial_facets=facets, removed_facet=None,
+                            pairs=(), claim="collapsible")
+    with pytest.raises(TypeError, match="^labels that do not compare$"):
+        verify_certificate(cert)
+
+
 def mutant(data, C):
     """A certificate of C with one pair dropped, swapped with its neighbour,
     or given another face of C as its free face or coface."""
@@ -249,7 +266,7 @@ def mutant(data, C):
         pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
     else:
         face = data.draw(st.sampled_from(sorted(C.faces())))
-        pairs[k] = dataclasses.replace(pairs[k], **{how: face})
+        pairs[k] = pairs[k]._replace(**{how: face})
     return tampered(res.certificate, pairs)
 
 
@@ -341,9 +358,9 @@ def test_tampered_three_sphere_certificates_get_the_scan_verdict():
         other = faces[(3 * k) % len(faces)]
         for changed in (pairs[:k] + pairs[k + 1:],
                         pairs[:k] + [pairs[k + 1], p] + pairs[k + 2:],
-                        pairs[:k] + [dataclasses.replace(p, free=other)]
+                        pairs[:k] + [p._replace(free=other)]
                         + pairs[k + 1:],
-                        pairs[:k] + [dataclasses.replace(p, coface=other)]
+                        pairs[:k] + [p._replace(coface=other)]
                         + pairs[k + 1:]):
             bad = tampered(cert, changed)
             got = verify_certificate(bad, C)
