@@ -58,10 +58,11 @@ class CollapsePair(namedtuple("CollapsePair", "free coface")):
     """One elementary collapse: a free face and its unique coface.
 
     A named tuple: .free and .coface name its two entries and cannot be
-    set, and equality and hash are the tuple's, so a pair hashes as
-    (free, coface).  The search and the reader build pairs with
-    _new_pair, tuple.__new__ bound to the class, which skips the
-    Python-level __new__.
+    set, and equality, order and hash are the tuple's, so a pair equals
+    and hashes as the plain tuple (free, coface); _replace gives a changed
+    copy, and the dataclasses functions do not apply.  The search and the
+    reader build pairs with _new_pair, tuple.__new__ bound to the class,
+    which skips the Python-level __new__.
     """
 
     __slots__ = ()

@@ -8,7 +8,9 @@ facing a shared ridge carry the same rank: the ranks of a seed facet fix
 those of its ridge-connected piece, along the spanning tree of ridge
 crossings that the complex's incidence index lists for the piece.  Rank
 recovery searches seed orderings piece by piece, on an explicit stack,
-and reconstruct's budget counts the orderings it tries.
+and reconstruct's budget counts the orderings it tries.  reconstruct
+groups the pieces by shared vertices into vertex-connected parts, whose
+ranks are independent, and searches each part on its own.
 The rank-0 vertices are those of T, and the face of T behind a vertex u
 is the set of rank-0 neighbors of u.
 reconstruct keeps a piece's ranks only if each of its vertices has rank + 1
@@ -37,17 +39,19 @@ def _rank0_neighbours(facets, ranks):
     return below
 
 
-def _rankings(complex, strict, tick=lambda: None):
+def _rankings(complex, strict, tick=lambda: None, pieces=None):
     """rank_colorings' assignments in the same order, each with the
     complex's _rank0_neighbours table under it (None unless strict); with
     strict, only those whose every piece passes the rank-0 neighbour count.
-    tick is called once per seed ordering tried."""
+    tick is called once per seed ordering tried.  pieces, the (s, tree)
+    pieces of the complex's incidence index by default, are those ranked."""
     fs = complex.facets
     # per ridge-connected piece: its facets, seed first, and the vertex pairs
     # facing the ridges of its spanning tree
     pieces = [([fs[s]] + [fs[j] for _, _, j, _ in tree],
                [(fs[i][p], fs[j][q]) for i, p, j, q in tree])
-              for s, tree in complex._incidence()[3]]
+              for s, tree in (complex._incidence()[3] if pieces is None
+                              else pieces)]
     ranks = {}
     tables = [None] * len(pieces)  # each piece's table, for strict
 
@@ -115,9 +119,39 @@ def rank_coloring(complex):
     return None
 
 
-def _try_ranks(complex, ranks, below):
-    """Facets, as sets, of the T with sd(T) = complex under ranks, or None;
-    below is the complex's _rank0_neighbours table under ranks."""
+def _parts(complex):
+    """The ridge-connected pieces (s, tree) of the complex's incidence index
+    grouped into its vertex-connected parts, as (pieces, facets) per part;
+    parts, and the pieces of each, come by least facet."""
+    fs, pieces = complex.facets, complex._incidence()[3]
+    if len(pieces) == 1:  # one ridge-connected piece is vertex-connected
+        return [(pieces, fs)]
+    facets = [[fs[s]] + [fs[j] for _, _, j, _ in tree] for s, tree in pieces]
+    verts = [set(itertools.chain.from_iterable(f)) for f in facets]
+    holders = {}  # vertex -> the pieces holding it
+    for k, vs in enumerate(verts):
+        for v in vs:
+            holders.setdefault(v, []).append(k)
+    parts, seen = [], [False] * len(pieces)
+    for k in range(len(pieces)):
+        if not seen[k]:
+            seen[k] = True
+            part = [k]
+            for a in part:  # breadth first over shared vertices
+                for b in itertools.chain.from_iterable(map(holders.get, verts[a])):
+                    if not seen[b]:
+                        seen[b] = True
+                        part.append(b)
+            part.sort()
+            parts.append(([pieces[a] for a in part],
+                          [F for a in part for F in facets[a]]))
+    return parts
+
+
+def _try_ranks(facets, ranks, below):
+    """Facets, as sets, of the T with sd(T) = the complex of the facets
+    under ranks, or None; below is their _rank0_neighbours table under
+    ranks."""
     back = {}  # face of the candidate -> the vertex standing for it
     for u, zs in below.items():
         fu = frozenset(zs)
@@ -133,7 +167,7 @@ def _try_ranks(complex, ranks, below):
         if None in subs:
             return None
         chains[fu] = [c + (back[fu],) for cs in subs for c in cs]
-    if {frozenset(c) for F in top for c in chains[F]} == set(map(frozenset, complex.facets)):
+    if {frozenset(c) for F in top for c in chains[F]} == set(map(frozenset, facets)):
         return top
     return None
 
@@ -151,16 +185,13 @@ def reconstruct(complex, max_nodes=DEFAULT_MAX_NODES):
     nodes = itertools.count(1)
     tick = lambda: spend(next(nodes), max_nodes,
                          "reconstruct tried more than %(budget)d seed orderings")
-    # one ridge-connected piece is one vertex-connected part: the input
-    parts = ([complex] if len(complex._incidence()[3]) == 1
-             else complex.connected_components())
-    pieces = []
-    for part in parts:
-        tries = (_try_ranks(part, ranks, below)
-                 for ranks, below in _rankings(part, True, tick))
+    out = []
+    for pieces, facets in _parts(complex):
+        tries = (_try_ranks(facets, ranks, below)
+                 for ranks, below in _rankings(complex, True, tick, pieces))
         got = next(filter(None, tries), None)
         if got is None:
             raise NotDerivedSubdivisionError(
                 "no rank structure of a derived subdivision fits")
-        pieces.extend(got)
-    return SimplicialComplex(pieces)
+        out.extend(got)
+    return SimplicialComplex(out)

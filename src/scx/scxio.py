@@ -31,22 +31,18 @@ fields and nothing after the last.  Any other spelling is rejected with
 its field and line, and so is a field too long for int() to read.
 
 Both readers read their many lines on one skeleton (_read_block): a bulk
-reading with no Python loop per line, and only when one of its checks
-fails a per-line loop, which names the first line at fault with the
-message a line-by-line reading gives.  A bulk reading matches each line
+reading with no Python loop per line and, only when one of its checks
+fails, a per-line loop that names the first line at fault with the
+message a line-by-line reading gives.  The bulk reading matches each line
 with one compiled pattern through one map, joins the lines _CHUNK at a
-time, splits them and reads the fields with one map(int, ...).  Facet
-lines (_bulk_facets, else _facet_line) are zipped into facets; strict
-increase is checked by comparing neighbouring columns, facet order by
-comparing neighbouring facets, with operator.lt; nesting is checked only
-when facet sizes differ (_check_unnested), and a nesting before the
-first faulty line comes first.  A certificate's block is the collapse
-lines that _COLLAPSE_LINE matches after an optional remove line; the
-first line it refuses, and those after it, go to the directive dispatch.
-In the block (_bulk_pairs, else _pair_line) the fields are cut into
-faces at the spaces, and strict increase is checked at every comma.  An
-unsorted face fails the bulk reading but is legal: the per-line loop
-sorts it, refuses a repeated vertex, and otherwise finds no fault.
+time, reads the fields with one map(int, ...), checks strict increase at
+every separator inside a facet or face at once and cuts the fields into
+tuples (_increasing_tuples).  Facet order and nesting are checked after
+it, on the facets before the first faulty line: a fault there comes
+first.  A certificate's block is its collapse lines after an optional
+remove line, up to the first line _COLLAPSE_LINE refuses; that line and
+those after it go to the directive dispatch.  An unsorted face fails the
+bulk reading but is legal: the per-line loop sorts it and finds no fault.
 
 The per-field diagnosis (_split_strict, _int_fields) refuses every line
 the patterns refuse: _split_strict refuses an empty field, so a line it
@@ -58,10 +54,10 @@ a facet line that the pattern or int() refuses fails one of _facet_line's
 checks, and so does, in the dispatch, a collapse line that ends the block
 before the claim: no collapse line is dropped unread.
 
-Memory stays bounded: one match covers one line, the patterns' possessive
-repeats keep no backtracking state, and only the split fields of one chunk
-of lines are alive at once.  Reading the 10368 facet lines of sd^4 of the
-octahedron peaks under 4 MB.
+Memory stays bounded: one match covers one line, so its backtracking
+memory ends with the line, and only the fields of one chunk of lines are
+alive at once.  Reading the 10368 facet lines of sd^4 of the octahedron
+peaks under 4 MB.
 
 Certificates use one line per step:
 
@@ -76,19 +72,21 @@ and never stored: its target_facets stays None.
 
 import re
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, eq, lt, not_
+from operator import add, attrgetter, eq, ge, lt, methodcaller, not_
 
 from .collapse import CollapseSequence, _new_pair
 from .complexes import SimplicialComplex, face_tuple
 from .errors import InvalidComplexError, ScxFormatError
 
 MAGIC = "scx 1"
-_INT = r"(?:0|-?[1-9][0-9]*+)"  # the spelling str(int) gives
+_INT = r"(?:0|-?[1-9][0-9]*)"  # the spelling str(int) gives
 _INT_FIELD = re.compile(_INT)
-_FACET_LINE = re.compile("%s(?: %s)*+" % (_INT, _INT))
-_FACE = "%s(?:,%s)*+" % (_INT, _INT)
+_FACET_LINE = re.compile("%s(?: %s)*" % (_INT, _INT))
+_FACE = "%s(?:,%s)*" % (_INT, _INT)
 _COLLAPSE_LINE = re.compile("collapse %s %s" % (_FACE, _FACE))
-_INSIDE = str.maketrans(", ", "\x01\x00", "-0123456789")  # "," 1, " " 0
+# a separator to 1 inside a tuple, 0 between two; a field's characters go
+_IN_FACET = str.maketrans(" \n", "\x01\x00", "-0123456789")
+_IN_FACE = str.maketrans(", \n", "\x01\x00\x00", "-0123456789")
 _CHUNK = 256  # lines joined for one split: bounds the fields alive
 
 
@@ -181,23 +179,48 @@ def _header_value(lines, idx, keyword):
 
 
 def _chunks(lines):
-    """The lines joined by spaces, _CHUNK lines at a time."""
-    return map(" ".join, map(lines.__getitem__, map(
+    """The lines joined by newlines, _CHUNK lines at a time."""
+    return map("\n".join, map(lines.__getitem__, map(
         slice, range(0, len(lines), _CHUNK), count(_CHUNK, _CHUNK))))
+
+
+def _increasing_tuples(chunks, inside, size=0):
+    """The tuples of int fields on the chunks of lines, or None when a
+    field is past int()'s digit limit or a tuple is not strictly
+    increasing.  The table `inside` tells a separator within a tuple (1)
+    from one between two (0); a nonzero size says every tuple has it."""
+    tuples = []
+    for chunk in chunks:
+        try:
+            ints = tuple(map(int, chunk.replace(",", " ").split()))
+        except ValueError:  # a field past int()'s digit limit
+            return None
+        inner = chunk.translate(inside)  # one byte per neighbouring pair
+        if not all(compress(map(lt, ints, islice(ints, 1, None)),
+                            inner.encode())):
+            return None
+        if size:
+            tuples += zip(*[iter(ints)] * size)
+            continue
+        # each tuple's end in ints: its 1s, plus one, after the last end
+        ends = [0]
+        ends += accumulate(map(add, map(len, inner.split("\x00")), repeat(1)))
+        tuples += map(ints.__getitem__, map(slice, ends, islice(ends, 1, None)))
+    return tuples
 
 
 def _read_block(block, first_no, bulk, read_line):
     """The items on the lines `block`, numbered from first_no, and the
     ScxFormatError naming the first line at fault, or None: bulk(block)
     reads them all, or gives None when a check fails, and only then does
-    read_line(line, line_no, items so far) read them line by line."""
+    read_line(line, line_no) read them line by line."""
     items = bulk(block)
     if items is not None:
         return items, None
     items = []
     for line_no, line in enumerate(block, first_no):
         try:
-            items.append(read_line(line, line_no, items))
+            items.append(read_line(line, line_no))
         except ScxFormatError as e:
             return items, e
     return items, None
@@ -205,36 +228,20 @@ def _read_block(block, first_no, bulk, read_line):
 
 def _bulk_facets(body):
     """The facets on the facet lines `body`, or None when a line is
-    misspelled, holds a field int() cannot read, is not strictly increasing
-    or does not sort after the line before it.  Nesting is not checked."""
+    misspelled, holds a field int() cannot read or is not strictly
+    increasing.  Order and nesting are not checked."""
     if not all(map(_FACET_LINE.fullmatch, body)):
         return None
     sizes = set(map(str.count, body, repeat(" ")))
-    try:
-        if len(sizes) == 1:  # facets of one size: compare whole columns
-            ints = map(int, chain.from_iterable(map(str.split, _chunks(body))))
-            facets = list(zip(*[ints] * (sizes.pop() + 1)))
-            cols = list(zip(*facets))
-            increasing = all(map(all, map(map, repeat(lt), cols, cols[1:])))
-        else:
-            facets = [tuple(map(int, line.split(" "))) for line in body]
-            increasing = all(all(map(lt, f, f[1:])) for f in facets)
-    except ValueError:  # a field past int()'s digit limit
-        return None
-    if increasing and all(map(lt, facets, islice(facets, 1, None))):
-        return facets
-    return None
+    size = sizes.pop() + 1 if len(sizes) == 1 else 0
+    return _increasing_tuples(_chunks(body), _IN_FACET, size)
 
 
-def _facet_line(line, line_no, facets):
-    """The facet on one facet line; it must be strictly increasing and
-    sort after the last of `facets`."""
+def _facet_line(line, line_no):
+    """The facet on one facet line; it must be strictly increasing."""
     f = tuple(_int_fields(_split_strict(line, line_no), line_no))
     if not all(map(lt, f, f[1:])):
         raise ScxFormatError("facet vertices must be strictly increasing",
-                             line_no)
-    if facets and f <= facets[-1]:
-        raise ScxFormatError("facets must be listed in increasing order",
                              line_no)
     return f
 
@@ -274,7 +281,12 @@ def complex_from_text(text):
         raise ScxFormatError("expected %d facet lines, found %d"
                              % (n_facets, len(lines) - 4), len(lines))
     facets, fault = _read_block(lines[4:], 5, _bulk_facets, _facet_line)
-    _check_unnested(facets)  # a nesting before the faulty line comes first
+    # a facet out of order, or nested, before the faulty line comes first
+    k = next(compress(count(1), map(ge, facets, islice(facets, 1, None))), 0)
+    if k:
+        facets, fault = facets[:k], ScxFormatError(
+            "facets must be listed in increasing order", 5 + k)
+    _check_unnested(facets)
     if fault is not None:
         raise fault
     used = set(chain.from_iterable(facets))
@@ -344,27 +356,14 @@ def _bulk_pairs(block):
     """The pairs on the collapse lines `block`, each one _COLLAPSE_LINE
     matches, or None when a field is past int()'s digit limit or a face
     is not strictly increasing."""
-    faces = []
-    for chunk in _chunks(block):
-        chunk = chunk.replace("collapse ", "")  # the faces, space-separated
-        try:
-            ints = tuple(map(int, chunk.replace(" ", ",").split(",")))
-        except ValueError:  # a field past int()'s digit limit
-            return None
-        # per pair of neighbouring fields, 1 inside a face, 0 between faces
-        inside = chunk.translate(_INSIDE)
-        if not all(compress(map(lt, ints, islice(ints, 1, None)),
-                            inside.encode())):
-            return None
-        # each face's end in ints: its 1s, plus one, after the last end
-        ends = [0]
-        ends += accumulate(map(add, map(len, inside.split("\x00")), repeat(1)))
-        faces += map(ints.__getitem__, map(slice, ends, islice(ends, 1, None)))
-    in_turn = iter(faces)  # free face, coface, free face, ...
-    return list(map(_new_pair, zip(in_turn, in_turn)))
+    faces = _increasing_tuples(map(methodcaller("replace", "collapse ", ""),
+                                   _chunks(block)), _IN_FACE)
+    if faces is not None:
+        in_turn = iter(faces)  # free face, coface, free face, ...
+        return list(map(_new_pair, zip(in_turn, in_turn)))
 
 
-def _pair_line(line, line_no, pairs):
+def _pair_line(line, line_no):
     """The pair on one collapse line that _COLLAPSE_LINE matches, its faces
     sorted; both faces' fields are read before a repeated vertex is
     refused."""

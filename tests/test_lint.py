@@ -2,8 +2,9 @@
 module imports inside a function, no function writes module-level state,
 every private function and class is named outside its own definition,
 every public name has a docstring, only errors.py raises a budget error,
-every budget message is pinned by an overrun row, and the certificate
-replay imports nothing of the search engine.
+every budget message is pinned by an overrun row, the certificate
+replay imports nothing of the search engine, and no string holds regex
+syntax newer than the oldest Python the package declares (3.10).
 
 The project depends on no linter, so this walks the syntax trees itself.
 The package __init__ is exempt from the unused-import check: its imports
@@ -343,3 +344,29 @@ def test_verify_py_shares_nothing_with_the_engine():
     source = (SRC / "verify.py").read_text()
     assert ("complexes", "face_tuple") in package_imports(source)
     assert foreign_imports(source) == []
+
+
+# possessive repeats and atomic groups: re.compile refuses both before 3.11
+NEWER_REGEX = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def newer_regex_strings(source):
+    """Lines of the string constants in source holding NEWER_REGEX."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and NEWER_REGEX.search(node.value))
+
+
+def test_the_checker_sees_regex_syntax_newer_than_3_10():
+    source = ('A = "[0-9]*+"\nB = "(?:,x)++"\nC = "(?>a|b)c"\n'
+              'D = "x?+"\nE = "a{2}+"\nF = "(?:0|-?[1-9][0-9]*)+ (?:x)"\n')
+    assert newer_regex_strings(source) == [1, 2, 3, 4, 5]
+
+
+def test_no_module_uses_regex_syntax_newer_than_3_10():
+    assert "requires-python = \">=3.10\"" in (
+        SRC.parent.parent / "pyproject.toml").read_text()
+    found = {p.name: newer_regex_strings(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

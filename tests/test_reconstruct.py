@@ -198,6 +198,46 @@ def test_reconstruct_budget_stops_an_exponential_search():
     assert unwrap(reconstruct(sd(T).complex, max_nodes=1)).facets == T.facets
 
 
+def budget_needed(K):
+    """The least max_nodes under which reconstruct(K) ends in an answer."""
+    for budget in itertools.count(1):
+        try:
+            reconstruct(K, max_nodes=budget)
+        except NotDerivedSubdivisionError:
+            pass
+        except BudgetExceededError:
+            continue
+        return budget
+
+
+def shifted(K, by):
+    return K.relabel({v: v + by for v in K.vertices})
+
+
+def test_reconstruct_searches_each_vertex_connected_part_on_its_own():
+    # sd of two triangles on one vertex is one vertex-connected part of two
+    # ridge-connected pieces; beside sd(octahedron) and sd of a path, the
+    # input has four pieces in three parts, in each order
+    subs = [sd(T).complex.normalize() for T in (
+        SimplicialComplex([(0, 3, 4), (0, 1, 2)]), octahedron(),
+        SimplicialComplex([(0, 1), (1, 2)]))]
+    for shifts in itertools.permutations((0, 100, 200)):
+        parts = [shifted(P, by) for P, by in zip(subs, shifts)]
+        K = SimplicialComplex([F for P in parts for F in P.facets])
+        assert (len(K._incidence()[3]), len(K.connected_components())) == (4, 3)
+        assert reconstruct(K).facets == SimplicialComplex(
+            [F for P in parts for F in reconstruct(P).facets]).facets
+        assert budget_needed(K) == sum(map(budget_needed, parts))
+    # a part that inverts is searched once: a search over the whole input
+    # would try its other seed orderings after the next part fails
+    good = sd(octahedron()).complex.normalize()
+    bad = shifted(glued_subdivided_triangles(3), 100)
+    K = SimplicialComplex(good.facets + bad.facets)
+    with pytest.raises(NotDerivedSubdivisionError):
+        reconstruct(K)
+    assert budget_needed(K) == budget_needed(good) + budget_needed(bad)
+
+
 def test_chain_check_rejects_what_the_piece_checks_pass():
     # one rank assignment passes every piece's rank-0 neighbour count, and
     # only the chain check rejects the candidate: in sd(octahedron) minus

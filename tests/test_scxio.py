@@ -701,9 +701,9 @@ def test_an_unsorted_face_is_read_sorted_by_the_per_line_loop(monkeypatch):
     read_lines = []
     pair_line = scxio._pair_line
 
-    def counted(line, line_no, pairs):
+    def counted(line, line_no):
         read_lines.append(line_no)
-        return pair_line(line, line_no, pairs)
+        return pair_line(line, line_no)
 
     monkeypatch.setattr(scxio, "_pair_line", counted)
     for old, new in (("collapse 1,2 1,2,3\n", "collapse 2,1 3,1,2\n"),
