@@ -24,7 +24,10 @@ forms of the whole (_canonical_form, _individualise).
 
 Censuses grow triangulations facet by facet: closed surfaces by repeatedly
 capping the least open edge, disks by level-wise ear and corner moves.
-Results are deduplicated by canonical form.  The disk census grows each
+Results are deduplicated by canonical form.  The surface census tests a
+closed surface with iso against the forms kept with its invariant
+(facet count, sorted vertex degrees) and canonicalises only one that
+matches none, so once per class.  The disk census grows each
 representative by one move per orbit of its automorphism group, which the
 flag walk reports as the walks that tie the best code (_flag_form), and
 canonicalises a grown disk only when its new triangle has the least
@@ -446,49 +449,63 @@ def enumerate_surfaces(n_vertices):
     isomorphism.
 
     Grows triangle sets from a fixed seeded edge, always capping the least
-    open edge, introducing fresh vertices in discovery order; completed
-    candidates are filtered through classify_surface and deduplicated.  A
-    set fixes which of its triangles capped each edge, so it has exactly one
-    growth path and is reached at most once: no set is remembered.
+    open edge, introducing fresh vertices in discovery order, so the used
+    vertices are range(n_used).  A set fixes which of its triangles capped
+    each edge, so it has exactly one growth path and is reached at most
+    once: no set is remembered.  Each stack entry carries its triangles,
+    its edge counts (triangles per edge) and n_used, so a child copies its
+    parent's counts and adds its new triangle instead of recounting.
+
+    A closed set on all n vertices that classify_surface accepts is
+    grouped by an isomorphism invariant, (facet count, sorted vertex
+    degrees), and tested with iso against the forms already kept in its
+    group; canonical_label runs only when it matches none, so once per
+    class.  The output is the one that canonicalising every closed surface
+    gives: a skipped surface has a certified isomorphism to a kept form,
+    so that form is its canonical form; a surface that matches none is of
+    a class not kept yet, since isomorphic surfaces share the invariant and
+    iso finds an isomorphism whenever one exists; and every form kept comes
+    from canonical_label.
     """
     if n_vertices < 4:
         return []
     _check_surface_cap(n_vertices)
-    seed = frozenset({(0, 1, 2), (0, 1, 3)})
-    out = {}
-    stack = [seed]
+    kept = {}  # invariant -> the forms kept with it
+    seed = ((0, 1, 2), (0, 1, 3))
+    counts = {(0, 1): 2, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 3): 1}
+    stack = [(seed, counts, 4)]
     while stack:
-        tris = stack.pop()
-        counts = Counter()
-        used = set()
-        for t in tris:
-            used.update(t)
-            for e in itertools.combinations(t, 2):
-                counts[e] += 1
-        open_edges = sorted(e for e, c in counts.items() if c == 1)
-        if not open_edges:
-            if len(used) != n_vertices:
-                continue
-            cand = SimplicialComplex(tris)
-            sc = cand.classify_surface()
-            if sc.kind == "closed-surface":
-                key, _ = canonical_label(cand)
-                out.setdefault(key.facets, key)
+        tris, counts, n_used = stack.pop()
+        open_edges = [e for e, c in counts.items() if c == 1]
+        if open_edges:
+            va, vb = min(open_edges)
+            for w in range(n_used + (n_used < n_vertices)):  # old, then fresh
+                if w == va or w == vb:
+                    continue
+                ea = (w, va) if w < va else (va, w)
+                eb = (w, vb) if w < vb else (vb, w)
+                a, b = counts.get(ea, 0), counts.get(eb, 0)
+                t = (w, va, vb) if w < va else (
+                    (va, w, vb) if w < vb else (va, vb, w))
+                if a == 2 or b == 2 or t in tris:
+                    continue
+                child = counts.copy()
+                child[va, vb], child[ea], child[eb] = 2, a + 1, b + 1
+                stack.append((tris + (t,), child, max(n_used, w + 1)))
             continue
-        va, vb = open_edges[0]
-        options = sorted(used - {va, vb})
-        if len(used) < n_vertices:
-            options.append(max(used) + 1)
-        for w in options:
-            t = face_tuple((va, vb, w))
-            if t in tris:
-                continue
-            if counts.get(face_tuple((va, w)), 0) >= 2:
-                continue
-            if counts.get(face_tuple((vb, w)), 0) >= 2:
-                continue
-            stack.append(tris | {t})
-    return [out[k] for k in sorted(out)]
+        if n_used != n_vertices:
+            continue
+        # distinct (a t already in tris is skipped), strictly increasing int
+        # triples (t is built sorted, w apart from va < vb), so none nests in
+        # another, and sorted int triples of one length are in _fkey order
+        cand = SimplicialComplex._canonical(sorted(tris))
+        if cand.classify_surface().kind != "closed-surface":
+            continue
+        degrees = sorted(Counter(chain.from_iterable(tris)).values())
+        group = kept.setdefault((len(tris), tuple(degrees)), [])
+        if not any(iso(form, cand) is not None for form in group):
+            group.append(canonical_label(cand)[0])
+    return sorted(chain.from_iterable(kept.values()), key=lambda S: S.facets)
 
 
 def _removal_keys(facets):

@@ -158,10 +158,10 @@ class SimplicialComplex:
         strictly increasing in the universal label order, none is contained
         in another, and the sequence is sorted by _fkey.  Only callers that
         prove all four may use this; input from outside the program goes
-        through __init__.  The callers are the .scx parser, star,
-        connected_components, normalize, sd, canonical_label,
-        census._individualise and enumerate_disks, each with its proof
-        where it calls.
+        through __init__.  The callers are complex_from_text, star,
+        connected_components, normalize, sd, canonical_label, _flag_form,
+        census._individualise, enumerate_surfaces and enumerate_disks, each
+        with its proof where it calls.
         """
         self = cls.__new__(cls)
         self._store(tuple(facets))

@@ -671,6 +671,41 @@ def test_eight_vertex_surfaces_by_type():
     assert len(eight) == 43
 
 
+# vertex count -> SHA-256 of repr([S.facets for S in enumerate_surfaces(n)]),
+# taken from the generator that canonicalised every closed surface it grew
+SURFACE_DIGESTS = {
+    4: "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858",
+    5: "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f",
+    6: "8f53a4ce430806004dc885a1898a9a109dafdc6ca9914e2540ca4a169d712857",
+    7: "b70d836533f44369c53aa5e6c0c78efdd97409bd9ff695a6adaceb04270c1e5c",
+    8: "949d6e9bd271ed06c671112e85024acf40819e2ee78745011a6222531723b5cc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SURFACE_DIGESTS))
+def test_surface_census_outputs_are_frozen(n):
+    forms = repr([S.facets for S in enumerate_surfaces(n)])
+    assert hashlib.sha256(forms.encode()).hexdigest() == SURFACE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n, classes", [(7, 9), (8, 43)])
+def test_surface_census_canonicalises_one_surface_per_class(
+        monkeypatch, n, classes):
+    """A closed surface that iso matches to a kept form skips
+    canonical_label, so it runs once per class.  Canonicalising every
+    closed surface grown made 103 calls at 7 vertices and 1509 at 8."""
+    module = importlib.import_module("scx.census")
+    calls, canonical = [], module.canonical_label
+
+    def counted(*args):
+        calls.append(args[0])
+        return canonical(*args)
+
+    monkeypatch.setattr(module, "canonical_label", counted)
+    assert len(enumerate_surfaces(n)) == classes
+    assert len(calls) == classes
+
+
 @pytest.mark.parametrize("call, requested, budget", [
     (enumerate_disks, 13, 12), (enumerate_surfaces, 11, 10),
     (census, 11, 10)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx.census import iso
+from scx.census import determine_gluing, iso
 from scx.complexes import SimplicialComplex, octahedron
 from scx.errors import InvalidComplexError, QuotientRejected
 from scx.families import (count_torus_outcomes, dyck_words, grid_disk,
@@ -23,7 +23,8 @@ from scx.families import (count_torus_outcomes, dyck_words, grid_disk,
                           polygon_triangulations, recover_strip_permutation,
                           strip_sphere, strip_surface, triangle_strip,
                           triangulation_from_pattern, torus_from_pattern,
-                          _oriented_cycle, _tube)
+                          _oriented_cycle, _read_strip_permutation,
+                          _strip_holes, _tube)
 
 
 def catalan(m):
@@ -220,6 +221,32 @@ def test_recover_strip_permutation_rejects_a_ring_off_two_runs_of_three():
     with pytest.raises(InvalidComplexError,
                        match="complex is not a strip surface"):
         recover_strip_permutation(M)
+
+
+def test_recover_strip_permutation_refuses_a_strip_surface_with_a_hole():
+    """strip_surface((1,)) less one triangle, padded to 22 facets by a
+    disjoint one, is thin, so the punctured sphere P glues in from its apex
+    facet, in place.  Less a triangle of P, the gluing still reaches every
+    vertex of P but places a triangle the complex lacks.  Less the tube
+    triangle on hole 1's edge (1, 3), every triangle of P is placed but no
+    unplaced triangle holds that edge."""
+    g, M = 1, strip_surface((1,))
+    sphere, holes = strip_sphere(g), set().union(*_strip_holes(g))
+    P = SimplicialComplex(F for F in sphere.facets if F not in holes)
+    seed = ((0, 1, 2 * g + 5), (0, 1, 2 * g + 5))
+    for gone, in_p in (((2, 3, 4), True), ((1, 3, 9), False)):
+        assert gone in M.facets and (gone in P.facets) == in_p
+        holed = SimplicialComplex([F for F in M.facets if F != gone]
+                                  + [(100, 101, 102)])
+        m = determine_gluing(P, holed, seed)
+        assert m == {v: v for v in P.vertices}
+        assert (set(P.facets) <= set(holed.facets)) == (not in_p)
+        assert [F for F in holed.facets if F not in P.facets
+                and {1, 3} <= set(F)] == ([(1, 3, 9)] if in_p else [])
+        assert _read_strip_permutation(holed, P, m, g) is None
+        with pytest.raises(InvalidComplexError,
+                           match="complex is not a strip surface"):
+            recover_strip_permutation(holed)
 
 
 def test_grid_disk_shape():

@@ -1,6 +1,7 @@
 """Stdlib lint: every name a module imports is used in that module, no
 module imports inside a function, no function writes module-level state,
 every private function and class is named outside its own definition,
+every caller of SimplicialComplex._canonical is named in its docstring,
 every public name has a docstring, only errors.py raises a budget error,
 every budget message is pinned by an overrun row, the certificate
 replay imports nothing of the search engine, and no string holds regex
@@ -216,6 +217,50 @@ def test_every_private_helper_is_named_outside_its_own_def():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert len(sources) >= 12
     assert dead_private_helpers(sources) == []
+
+
+def canonical_callers(source):
+    """The innermost function around each use of the attribute _canonical
+    in source, by name; "<module>" for a use outside every function."""
+    found = set()
+
+    def visit(node, name):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(n, n.name)
+                continue
+            if isinstance(n, ast.Attribute) and n.attr == "_canonical":
+                found.add(name)
+            visit(n, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_checker_sees_callers_of_canonical():
+    source = ("class C:\n    @classmethod\n    def _canonical(cls, fs):\n"
+              "        return fs\n    def m(self):\n"
+              "        return C._canonical(())\n"
+              "def f(x):\n    def g():\n        return x._canonical\n"
+              "    return g\n"
+              "def h(x):\n    return _canonical_form(x), x._canonical_form\n"
+              "K = C._canonical(())\n")
+    assert canonical_callers(source) == {"m", "g", "<module>"}
+    assert canonical_callers("def f(x):\n    return x._canonical_form\n") \
+        == set()
+
+
+def test_every_caller_of_canonical_is_named_in_its_docstring():
+    """SimplicialComplex._canonical stores facets unchecked, so its
+    docstring lists every caller, each of which proves the facets
+    canonical where it calls."""
+    doc = scx.SimplicialComplex._canonical.__doc__
+    callers = set().union(*(canonical_callers(p.read_text())
+                            for p in SRC.glob("*.py")))
+    assert len(callers) >= 10
+    assert sorted(name for name in callers
+                  if not re.search(r"\b%s\b" % re.escape(name), doc)) == []
+
 
 def test_every_public_function_and_class_has_a_docstring():
     """Read from the source: a dataclass's generated __doc__ only repeats
