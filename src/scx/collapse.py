@@ -33,9 +33,12 @@ unless the labels are the ints 0..n-1 and so the ranks themselves.
 Both rollouts run one loop that reads the engine's arrays in place and
 differs only in its picker.
 The exhaustive search only reads the engine.  A node is its alive mask
-(the memo key) and its free mask, ints with one bit per face index; a
-child's free mask is its parent's with the faces of the move's pair
-recounted, so a node costs those faces, not a scan of every face.
+(the memo key), its free mask and its untried moves, ints with one bit per
+face index; a child's free mask is its parent's with the faces of the
+move's pair recounted, so a node costs those faces, not a scan of every
+face.  A child's untried moves are the faces free in it that turned free
+with the move or that its parent has not tried yet: a move that commutes
+with one its parent already tried is not retried (sleep sets, see _dfs).
 """
 
 import random
@@ -261,6 +264,40 @@ def _dfs(engine, max_nodes):
     free mask comes from _child_free, which reads the coface mask of every
     face that turns free.  A state joins `seen` once every move out of it
     has failed, and a move into a seen state is never applied.
+
+    Sleep sets (Godefroid 1996): the child of the move (i, t) is offered
+    only the faces free in it that were not free in its parent or that its
+    parent has not tried yet; a face j free in both that the parent tried
+    before i, or was not offered itself, is asleep in the child.  An asleep
+    move always leads into `seen`, so the search makes the same nodes in
+    the same order, and gives the same pairs and nodes under every budget,
+    as one that tries every free face; it only tests `seen` less often.
+
+    Moves with different cofaces commute.  Let j be free in the parent
+    with coface u and still free in the child.  Then u is not t, whose
+    removal would leave j no coface, and not i, whose coface t would be a
+    second coface of j; and neither free face is the other's coface, since
+    a free face has a coface and the coface of a free face is maximal.  So
+    neither move removes the other's faces or the one coface of its free
+    face: from Y, the parent less (j, u), i is still free with coface t,
+    and both orders reach Y less (i, t).
+
+    An asleep move leads into `seen`, by induction on the pushes.  If j is
+    asleep in the child, then either the parent tried j before i, so Y is
+    in `seen` (it was there, or its subtree was refuted before the parent
+    went on), or j was asleep in the parent, so Y is in `seen` by
+    induction.  Y joined `seen` only after its move (i, t) was tried or
+    found asleep, so Y less (i, t) is in `seen` too.  It is not the goal,
+    which is never pushed and so never joins `seen`; so an asleep move is
+    never a last move, which the full search applies untested.
+
+    The memo stays sound.  Sleep sets with a state cache can lose states:
+    a state cached while some of its moves slept is later met with those
+    moves awake and skipped.  Here `seen` still holds only refuted states,
+    from which no collapse order reaches the goal, by induction on the
+    order states join it: each move out of a joining state was tried, and
+    its target joined `seen` earlier, or is asleep, and its target is in
+    `seen` already.
     """
     goal = engine.goal_size
     if engine.n_alive == goal:
@@ -290,8 +327,8 @@ def _dfs(engine, max_nodes):
             nodes += 1
             pairs.append((i, t))
             stack.append((key, free, todo))
-            free = _child_free(engine, masks, free, child, i, t)
-            stack.append((child, free, free))
+            kid = _child_free(engine, masks, free, child, i, t)
+            stack.append((child, kid, kid & (todo | ~free)))
             break
         else:
             seen.add(key)

@@ -5,6 +5,7 @@ filtering and facet sampling are redone here by hand so that expected values
 never lean on the code under test.
 """
 
+import itertools
 import random
 import warnings
 
@@ -91,3 +92,29 @@ def glued_subdivided_triangles(n):
     return SimplicialComplex([(0, 6 * i + 1 + k, 6 * i + 4 + j)
                               for i in range(n) for j in range(3)
                               for k in range(3) if k != j])
+
+
+def staircase_product(K, L):
+    """K x L as one simplicial complex, relabelled 0..n-1 by normalize().
+
+    Each product of a facet F of K and a facet G of L, both with their
+    vertices in label order, is cut into one simplex per monotone lattice
+    path from (F[0], G[0]) to (F[-1], G[-1]): the staircase triangulation,
+    which cuts a face shared by two such products the same way in both.
+    Pairs in label order are increasing in both factors, so the product is
+    again ordered by its labels and can be a factor once more."""
+    simplices = []
+    for F in K.facets:
+        for G in L.facets:
+            p, q = len(F) - 1, len(G) - 1
+            for ups in itertools.combinations(range(p + q), q):
+                i = j = 0
+                path = [(F[0], G[0])]
+                for step in range(p + q):
+                    if step in ups:
+                        j += 1
+                    else:
+                        i += 1
+                    path.append((F[i], G[j]))
+                simplices.append(path)
+    return SimplicialComplex(simplices).normalize()

@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -27,6 +28,8 @@ from scx.collapse import (
 from scx.scxio import certificate_from_text, complex_from_text, complex_to_text
 from scx.subdivision import sd, sd_k
 from scx.verify import verify_certificate
+
+from conftest import staircase_product
 
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
 
@@ -123,15 +126,37 @@ def test_collapse_to_subcomplex():
         collapses_to(path, SimplicialComplex([(0, 9)]))
 
 
-def test_exhaustive_collapse_to_exhausts_a_fan_through_the_memo():
+def count_memo_tests(monkeypatch):
+    """Patch the name `set` in scx.collapse with a subclass that counts
+    membership tests, and give the subclass, whose `tests` is the count.
+    On a call with one candidate only _dfs tests membership, against its
+    memo `seen`."""
+
+    class Counting(set):
+        tests = 0
+
+        def __contains__(self, item):
+            Counting.tests += 1
+            return super().__contains__(item)
+
+    monkeypatch.setattr(collapse, "set", Counting, raising=False)
+    return Counting
+
+
+def test_exhaustive_collapse_to_exhausts_a_fan_through_the_memo(monkeypatch):
     """A fan of four triangles is a disk, so it does not collapse onto the
     circle bounding its first triangle plus a far vertex, although the Euler
-    characteristics agree.  The search meets already refuted states 51
-    times; without its transposition table it visits 272 states."""
+    characteristics agree.  The search tests its memo 50 times: 41 moves
+    into new states and 9 into already refuted ones.  Trying again every
+    move that commutes with one already tried would make 92 tests, 51 of
+    them refuted states; without its transposition table the search visits
+    272 states."""
+    counted = count_memo_tests(monkeypatch)
     fan = SimplicialComplex([(0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 4, 5)])
     target = SimplicialComplex([(0, 5), (0, 1), (1, 5), (3,)])
     res = collapses_to(fan, target, strategy="exhaustive")
     assert (res.verdict, res.reason, res.nodes) == ("no", "exhausted 42 states", 42)
+    assert counted.tests == 50
 
 
 def test_budget_gives_unknown():
@@ -496,8 +521,11 @@ def test_the_bitmask_search_is_the_list_search_on_polygon_disks(monkeypatch):
     """Every 10-gon triangulation's exhaustive endo search and every 8-gon
     refutation onto an ear's boundary plus the vertex opposite the ear's
     tip, one seeded vertex relabelling per disk: the 1562 searches of the
-    small-search benchmark workload at its seed 7, with its node count."""
+    small-search benchmark workload at its seed 7, with its node count.
+    The 132 refutations test the memo 80492 times; trying again every move
+    that commutes with one already tried would make 215978 tests."""
     monkeypatch.setattr(collapse, "_dfs", same_as_the_reference)
+    counted = count_memo_tests(monkeypatch)
     rng = random.Random(7)
 
     def shuffled(tris, n):
@@ -511,7 +539,7 @@ def test_the_bitmask_search_is_the_list_search_on_polygon_disks(monkeypatch):
                                   strategy="exhaustive")
         assert res.verdict == "yes"
         nodes += res.nodes
-    refuted = 0
+    refuted = counted.tests = 0
     for tris in polygon_triangulations(8):
         # the first ear in triangle order, as small-search picks it
         a = next(a for T in sorted(tris) for a in range(8)
@@ -526,6 +554,7 @@ def test_the_bitmask_search_is_the_list_search_on_polygon_disks(monkeypatch):
         nodes += res.nodes
         refuted += 1
     assert refuted == 132 and nodes == 73016
+    assert counted.tests == 80492
 
 
 @pytest.mark.parametrize("complex", [sd_k(simplex_boundary(3), 2).complex]
@@ -575,6 +604,28 @@ def test_the_bitmask_search_is_the_list_search_on_random_complexes(start):
     engine = collapse._Engine(levels, goal)
     engine.reset(removed)
     same_as_the_reference(engine, max_nodes)
+
+
+CYCLE3 = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("factors, f", [
+    ((simplex_boundary(3), CYCLE3), (12, 48, 72, 36)),  # S^2 x S^1
+    ((CYCLE3, CYCLE3, CYCLE3), (27, 189, 324, 162)),  # T^3
+], ids=["S2xS1", "T3"])
+def test_the_bitmask_search_is_the_list_search_on_closed_3_manifolds(
+        monkeypatch, factors, f):
+    """Two closed 3-manifolds that are not spheres, built as staircase
+    products: the one-facet exhaustive endo search runs past 2 * 10**4
+    nodes on both, and the bitmask search follows the reference there."""
+    M = functools.reduce(staircase_product, factors)
+    assert M.f_vector() == f
+    sphere = simplex_boundary(3).classify_surface()
+    assert {M.link((v,)).classify_surface() for v in M.vertices} == {sphere}
+    monkeypatch.setattr(collapse, "_dfs", same_as_the_reference)
+    res = is_endo_collapsible(M, facet=M.facets[0], strategy="exhaustive",
+                              max_nodes=2 * 10 ** 4)
+    assert (res.verdict, res.nodes) == ("unknown", 2 * 10 ** 4)
 
 
 def test_exhaustive_search_leaves_the_recursion_limit_alone(monkeypatch):

@@ -34,9 +34,19 @@ from conftest import labelled_complexes, random_complex
 DISK2 = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
 
 
-def test_written_text_is_frozen_for_a_known_complex():
-    text = complex_to_text(DISK2)
-    assert text == "scx 1\ndim 2\nvertices 4\nfacets 2\n0 1 2\n1 2 3\n"
+@pytest.mark.parametrize("facets, text", [
+    (DISK2.facets, "scx 1\ndim 2\nvertices 4\nfacets 2\n0 1 2\n1 2 3\n"),
+    # Four renumbering passes.  In the input's labels, vertices 2 and 4
+    # both hang off 3; after the first pass 2 comes before 4, and in the
+    # second 4 overtakes 2 through its neighbour 6, which is adjacent to 1
+    # and so starts early.  The tie is settled by the order at a later
+    # pass: a one-pass writer that orders unlabelled vertices as the first
+    # pass did writes "4 5" for "3 5".
+    ([(0, 5), (1, 6), (2, 3), (3, 4), (3, 5), (4, 6)],
+     "scx 1\ndim 1\nvertices 7\nfacets 6\n0 1\n1 2\n2 3\n2 4\n3 5\n5 6\n"),
+], ids=["disk", "tree"])
+def test_written_text_is_frozen_for_a_known_complex(facets, text):
+    assert complex_to_text(SimplicialComplex(facets)) == text
 
 
 def test_roundtrip_octahedron():
